@@ -7,10 +7,11 @@ success (and a true ``iso`` answer), 1 for a false ``iso`` answer, 2 for
 usage or data errors.
 
 The ``repro`` subcommand regenerates the reference tables: graph counts
-(a000088), forests among bipartite graphs (a005195), trees (a000055), and
-the random-graph connectivity experiment around the p = log(n)/n threshold
-(natural logarithm).  The vertex cap can be overridden with the
-``GCANON_VERTEX_CAP`` environment variable.
+(a000088), forests (a005195) and trees (a000055), each from one generation
+run restricted by a filter spec, and the random-graph connectivity
+experiment around the p = log(n)/n threshold (natural logarithm).  The
+``GCANON_VERTEX_CAP`` environment variable overrides the vertex cap for the
+duration of one ``main`` call.
 """
 
 from __future__ import annotations
@@ -24,29 +25,12 @@ from typing import IO, Iterable, Iterator, NoReturn
 from . import canon, codec, core, filters, generate
 
 
-def census_counts(max_n: int) -> list[int]:
-    """Non-isomorphic graph counts for n = 1..max_n."""
-    return [len(generate.generate_graphs(n)) for n in range(1, max_n + 1)]
-
-
-def forest_counts(max_n: int) -> list[int]:
-    """Forests among bipartite graphs (acyclic classes) for n = 1..max_n."""
-    forest = filters.build_graph_filter([("NumCycles", 0)])
-    return [
-        len(filters.filter_graphs(generate.generate_graphs(n, generate.GenOptions(only_bipartite=True)), forest))
-        for n in range(1, max_n + 1)
-    ]
-
-
-def tree_counts(max_n: int) -> list[int]:
-    """Trees (acyclic and not 0-connected) for n = 1..max_n."""
-    tree = filters.build_graph_filter(
-        [("NumCycles", 0), ("Connectivity", 0), ("NegateConnectivity", True)]
-    )
-    return [
-        len(filters.filter_graphs(generate.generate_graphs(n, generate.GenOptions(only_bipartite=True)), tree))
-        for n in range(1, max_n + 1)
-    ]
+# repro count tables: default max n, and the filter spec generation runs under.
+COUNT_TABLES = {
+    "a000088": (9, ""),
+    "a005195": (12, "NumCycles=0"),
+    "a000055": (12, "NumCycles=0,!Connectivity=0"),
+}
 
 
 def er_connectivity_rows(max_n: int, trials: int, seed: int) -> tuple[list[int], list[int]]:
@@ -163,15 +147,12 @@ def _cmd_iso(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_repro(args: argparse.Namespace, out: IO[str]) -> int:
     name = args.experiment
-    if name == "a000088":
-        max_n = args.max_n if args.max_n is not None else 9
-        out.write(format_tuple(census_counts(max_n)) + "\n")
-    elif name == "a005195":
-        max_n = args.max_n if args.max_n is not None else 12
-        out.write(format_tuple(forest_counts(max_n)) + "\n")
-    elif name == "a000055":
-        max_n = args.max_n if args.max_n is not None else 12
-        out.write(format_tuple(tree_counts(max_n)) + "\n")
+    if name in COUNT_TABLES:
+        default_n, spec = COUNT_TABLES[name]
+        max_n = args.max_n if args.max_n is not None else default_n
+        graph_filter = filters.parse_filter_spec(spec)
+        counts = (len(generate.generate_graphs(n, graph_filter)) for n in range(1, max_n + 1))
+        out.write(format_tuple(counts) + "\n")
     else:  # er-connectivity; argparse restricts the choices
         max_n = args.max_n if args.max_n is not None else 30
         high, low = er_connectivity_rows(max_n, args.trials, args.seed)
@@ -215,10 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g6b")
 
     p = sub.add_parser("repro", help="reprint a reference table")
-    p.add_argument(
-        "experiment",
-        choices=["a000088", "a005195", "a000055", "er-connectivity"],
-    )
+    p.add_argument("experiment", choices=[*COUNT_TABLES, "er-connectivity"])
     p.add_argument("--max-n", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
@@ -239,11 +217,12 @@ def _apply_cap_override() -> None:
 
 
 def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
-    _apply_cap_override()
-    args = _build_parser().parse_args(argv)
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    saved_cap = core.VERTEX_CAP
     try:
+        _apply_cap_override()
+        args = _build_parser().parse_args(argv)
+        stdin = stdin if stdin is not None else sys.stdin
+        stdout = stdout if stdout is not None else sys.stdout
         if args.command == "gen":
             return _cmd_gen(args, stdout)
         if args.command == "rand":
@@ -263,6 +242,8 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO
         return 0
     except ValueError as exc:
         _fail(str(exc))
+    finally:
+        core.VERTEX_CAP = saved_cap  # the env override is scoped to this call
 
 
 if __name__ == "__main__":

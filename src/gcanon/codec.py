@@ -148,16 +148,7 @@ def encode_sparse6(graph: Graph) -> str:
     return ":" + _encode_n(n) + "".join(chars)
 
 
-def _finish(n: int, rows: list[int], expected_n: int | None) -> Graph:
-    if n == 0:
-        raise ZeroVertexError("graph string declares zero vertices")
-    _check_size(n)
-    if expected_n is not None and n != expected_n:
-        raise CodecError(f"graph string declares {n} vertices, expected {expected_n}")
-    return Graph(n, tuple(rows))
-
-
-def _decode_graph6(s: str, expected_n: int | None) -> Graph:
+def _decode_graph6(s: str) -> Graph:
     n, pos = _decode_n(s, 0)
     if n == 0:
         raise ZeroVertexError("graph string declares zero vertices")
@@ -173,10 +164,10 @@ def _decode_graph6(s: str, expected_n: int | None) -> Graph:
     if x & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits", offset=pos + nbytes - 1)
     key = x >> pad
-    return _finish(n, rows_from_key(n, key), expected_n)
+    return Graph(n, tuple(rows_from_key(n, key)))
 
 
-def _decode_sparse6(s: str, expected_n: int | None) -> Graph:
+def _decode_sparse6(s: str) -> Graph:
     n, pos = _decode_n(s, 1)
     if n == 0:
         raise ZeroVertexError("graph string declares zero vertices")
@@ -229,18 +220,18 @@ def _decode_sparse6(s: str, expected_n: int | None) -> Graph:
             rows[v] |= 1 << x
     if not padding_from(i, skip_first=True):
         raise CodecError("trailing garbage after edge stream", offset=byte_of(i))
-    return _finish(n, rows, expected_n)
+    return Graph(n, tuple(rows))
 
 
-def decode(s: str, expected_n: int | None = None) -> Graph:
+def decode(s: str) -> Graph:
     """Decode a Graph6 or Sparse6 string (detected by the ':' prefix).
 
     A single trailing newline is tolerated; any other stray byte is an error
-    reported with its offset.  ``expected_n`` adds a vertex-count check.
+    reported with its offset.
     """
     s = s.rstrip("\r\n")
     if not s:
         raise CodecError("empty graph string")
     if s[0] == ":":
-        return _decode_sparse6(s, expected_n)
-    return _decode_graph6(s, expected_n)
+        return _decode_sparse6(s)
+    return _decode_graph6(s)

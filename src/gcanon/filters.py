@@ -208,17 +208,23 @@ def _connectivity_matches(graph: Graph, lo: int, hi: int) -> bool:
     return lo <= graph.vertex_connectivity() <= hi
 
 
+# Plain property values; Connectivity and Girth are matched separately.
+_PROPERTY_VALUES = {
+    "Bipartite": Graph.is_bipartite,
+    "Regular": lambda graph: len({row.bit_count() for row in graph.rows}) == 1,
+    "Connected": Graph.is_connected,
+    "NumVertices": lambda graph: graph.n,
+    "NumEdges": Graph.num_edges,
+    "MinDegree": lambda graph: graph.degree_sequence()[0],
+    "MaxDegree": lambda graph: graph.degree_sequence()[-1],
+    "NumCycles": Graph.circuit_rank,
+}
+
+
 def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
     name = constraint.name
     if name in BOOLEAN_PROPERTIES:
-        if name == "Bipartite":
-            actual = graph.is_bipartite()
-        elif name == "Regular":
-            degrees = graph.degree_sequence()
-            actual = degrees[0] == degrees[-1]
-        else:
-            actual = graph.is_connected()
-        result = actual is constraint.value
+        result = _PROPERTY_VALUES[name](graph) is constraint.value
     else:
         lo, hi = constraint.bounds()
         if name == "Connectivity":
@@ -227,14 +233,7 @@ def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
             g = girth(graph)
             result = g is not None and lo <= g <= hi
         else:
-            value = {
-                "NumVertices": graph.n,
-                "NumEdges": graph.num_edges(),
-                "MinDegree": graph.degree_sequence()[0],
-                "MaxDegree": graph.degree_sequence()[-1],
-                "NumCycles": graph.circuit_rank(),
-            }[name]
-            result = lo <= value <= hi
+            result = lo <= _PROPERTY_VALUES[name](graph) <= hi
     return result != constraint.negate
 
 

@@ -1,11 +1,13 @@
 """Exhaustive enumeration of non-isomorphic graphs and seeded random sampling.
 
 Enumeration grows graphs one vertex at a time: every class on k-1 vertices is
-extended by attaching the new vertex to each possible neighbourhood, children
-failing monotone restrictions (bipartiteness, edge budget) are pruned, and the
-survivors are deduplicated by canonical form.  Connectivity and the minimum
-edge count are checked only on the final level, since induced subgraphs of a
-valid graph need not satisfy them.
+extended by attaching the new vertex to each possible neighbourhood, and the
+children are deduplicated by canonical form.  Generation may be restricted
+by any ``GraphFilter``.  Its hereditary clauses, which every induced subgraph
+of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c), prune
+the neighbourhoods on every level; the whole filter is then evaluated once
+on the final level, which settles the other clauses (Connected,
+Connectivity, lower bounds, negations).
 """
 
 from __future__ import annotations
@@ -15,24 +17,31 @@ from dataclasses import dataclass
 
 from . import canon, codec
 from .core import Graph, ZeroVertexError, _check_size, bipartition_masks, component_masks
+from .filters import GraphFilter, PropertyConstraint, evaluate
 
 
-@dataclass(frozen=True, slots=True)
-class GenOptions:
-    """Restrictions for exhaustive generation."""
-
-    only_connected: bool = False
-    only_bipartite: bool = False
-    min_edges: int | None = None
-    max_edges: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("min_edges", "max_edges"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.min_edges is not None and self.max_edges is not None and self.min_edges > self.max_edges:
-            raise ValueError(f"min_edges {self.min_edges} exceeds max_edges {self.max_edges}")
+def GenOptions(
+    only_connected: bool = False,
+    only_bipartite: bool = False,
+    min_edges: int | None = None,
+    max_edges: int | None = None,
+) -> GraphFilter:
+    """The filter for the classic generation switches and edge-count window."""
+    for name, value in (("min_edges", min_edges), ("max_edges", max_edges)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    if min_edges is not None and max_edges is not None and min_edges > max_edges:
+        raise ValueError(f"min_edges {min_edges} exceeds max_edges {max_edges}")
+    clauses = []
+    if max_edges is not None:
+        clauses.append(PropertyConstraint("NumEdges", (min_edges or 0, max_edges)))
+    elif min_edges:
+        clauses.append(PropertyConstraint("NumEdges", (0, min_edges - 1), negate=True))
+    if only_bipartite:
+        clauses.append(PropertyConstraint("Bipartite", True))
+    if only_connected:
+        clauses.append(PropertyConstraint("Connected", True))
+    return GraphFilter(tuple(clauses))
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,35 +108,53 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[int]:
     return reps
 
 
-def _neighbourhood_masks(parent: tuple[int, ...], opts: GenOptions) -> list[int]:
+def _hereditary_bounds(constraints: GraphFilter) -> tuple[bool, int | None, int | None]:
+    # (bipartite, edge budget, cycle budget) from the clauses that survive
+    # vertex deletion; a negated bound is not hereditary and is left to the
+    # final evaluation.
+    bipartite, max_edges, max_cycles = False, None, None
+    for c in constraints.constraints:
+        if c.name == "Bipartite":
+            bipartite = c.value != c.negate
+        elif c.name == "NumEdges" and not c.negate:
+            max_edges = c.bounds()[1]
+        elif c.name == "NumCycles" and not c.negate:
+            max_cycles = c.bounds()[1]
+    return bipartite, max_edges, max_cycles
+
+
+def _neighbourhood_masks(
+    parent: tuple[int, ...], bipartite: bool, max_edges: int | None, max_cycles: int | None
+) -> list[int]:
+    # The new neighbourhood is a product of choices, one per parent component.
+    # The child stays bipartite iff each choice sits wholly inside one side of
+    # the component's proper 2-colouring, and joining s >= 1 vertices of a
+    # component adds s - 1 to the circuit rank.  A budget of m never binds.
     m = len(parent)
-    if opts.only_bipartite:
-        # The child stays bipartite iff within each parent component the new
-        # neighbourhood sits wholly inside one side of a proper 2-colouring.
+    edges = sum(r.bit_count() for r in parent) // 2
+    edge_budget = m if max_edges is None else max_edges - edges
+    if not bipartite and max_cycles is None:
+        return [mask for mask in range(1 << m) if mask.bit_count() <= edge_budget]
+    if bipartite:
         sides = bipartition_masks(m, parent)
         assert sides is not None  # parents were generated bipartite
-        masks = [0]
-        for a, b in sides:
-            choices = _submasks(a) + [s for s in _submasks(b) if s]
-            masks = [acc | choice for acc in masks for choice in choices]
+        parts = [_submasks(a) + [s for s in _submasks(b) if s] for a, b in sides]
     else:
-        masks = list(range(1 << m))
-    if opts.max_edges is not None:
-        budget = opts.max_edges - sum(r.bit_count() for r in parent) // 2
-        masks = [mask for mask in masks if mask.bit_count() <= budget]
-    return masks
+        parts = [_submasks(comp) for comp in component_masks(m, parent)]
+    cycle_budget = m if max_cycles is None else max_cycles - (edges - m + len(parts))
+    ranked = [(0, 0)]  # (neighbourhood so far, circuit rank it adds)
+    for choices in parts:
+        ranked = [
+            (acc | choice, added)
+            for acc, used in ranked
+            for choice in choices
+            if (added := used + max(choice.bit_count() - 1, 0)) <= cycle_budget
+        ]
+    return [mask for mask, _ in ranked if mask.bit_count() <= edge_budget]
 
 
-def _passes_final(n: int, rows: list[int], opts: GenOptions) -> bool:
-    if opts.only_connected and len(component_masks(n, rows)) != 1:
-        return False
-    if opts.min_edges is not None and sum(r.bit_count() for r in rows) // 2 < opts.min_edges:
-        return False
-    return True
-
-
-def generate_graphs(n: int, opts: GenOptions | None = None) -> list[str]:
-    """Graph6 strings of all non-isomorphic graphs on n vertices matching opts.
+def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]:
+    """Graph6 strings of all non-isomorphic graphs on n vertices matching constraints.
 
     One canonical representative per isomorphism class, sorted ascending as
     byte strings.  Output is deterministic.
@@ -137,7 +164,8 @@ def generate_graphs(n: int, opts: GenOptions | None = None) -> list[str]:
     if n < 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     _check_size(n)
-    opts = opts or GenOptions()
+    constraints = constraints or GraphFilter()
+    bounds = _hereditary_bounds(constraints)
 
     keys = {0}  # the 1-vertex graph
     for k in range(2, n + 1):
@@ -146,7 +174,7 @@ def generate_graphs(n: int, opts: GenOptions | None = None) -> list[str]:
         new_bit = 1 << (k - 1)
         for parent in parents:
             gens = canon._canon_key_and_gens(k - 1, parent)[1] if k > 2 else []
-            for mask in _orbit_reps(_neighbourhood_masks(parent, opts), gens):
+            for mask in _orbit_reps(_neighbourhood_masks(parent, *bounds), gens):
                 child = [parent[i] | (new_bit if (mask >> i) & 1 else 0) for i in range(k - 1)]
                 child.append(mask)
                 keys.add(canon._canon_key(k, child))
@@ -154,7 +182,7 @@ def generate_graphs(n: int, opts: GenOptions | None = None) -> list[str]:
     return [
         codec.graph6_from_key(n, key)
         for key in sorted(keys)
-        if _passes_final(n, codec.rows_from_key(n, key), opts)
+        if not constraints.constraints or evaluate(constraints, Graph(n, tuple(codec.rows_from_key(n, key))))
     ]
 
 

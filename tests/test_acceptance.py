@@ -1,14 +1,11 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test prints a single PASS/FAIL line (visible with `pytest -s`).  The
-full-length forest/tree tables (n <= 12) are separate `-m slow` tests.
+Each test prints a single PASS/FAIL line (visible with `pytest -s`).
 """
 
 import itertools
 import random
 import time
-
-import pytest
 
 from conftest import (
     brute_force_isomorphic,
@@ -69,14 +66,12 @@ def test_criterion_3_tree_counts():
     report("criterion 3 (tree counts n<=10)", got == A000055_10, f"got {got}")
 
 
-@pytest.mark.slow
 def test_criterion_2_forest_counts_full_row():
     result = run_module_cli(["repro", "a005195", "--max-n", "12"])
     got = parse_tuple(result.stdout)
     report("criterion 2 extension (forest counts n<=12)", got == A005195_12, f"got {got}")
 
 
-@pytest.mark.slow
 def test_criterion_3_tree_counts_full_row():
     result = run_module_cli(["repro", "a000055", "--max-n", "12"])
     got = parse_tuple(result.stdout)

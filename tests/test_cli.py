@@ -1,7 +1,7 @@
 import io
 import itertools
 
-from gcanon import codec
+from gcanon import codec, core
 from gcanon.cli import main
 from gcanon.core import Graph, Permutation, permute_graph
 
@@ -196,6 +196,13 @@ def test_repro_er_connectivity_shape():
 def test_repro_unknown_experiment():
     code, _ = run_cli(["repro", "a999999"])
     assert code == 2
+
+
+def test_vertex_cap_env_override_is_scoped_to_main(monkeypatch):
+    monkeypatch.setattr(core, "VERTEX_CAP", 64)
+    monkeypatch.setenv("GCANON_VERTEX_CAP", "4")
+    assert run_cli(["gen", "3"])[0] == 0
+    assert core.VERTEX_CAP == 64
 
 
 from conftest import run_module_cli as module_cli

@@ -82,12 +82,6 @@ def test_cap_boundary_round_trip():
     assert decode(encode_sparse6(g)) == g
 
 
-def test_expected_n_check():
-    assert decode("Dhc", expected_n=5) == C5
-    with pytest.raises(CodecError):
-        decode("Dhc", expected_n=6)
-
-
 def test_payload_length_formula():
     rng = random.Random(1)
     for n in [1, 2, 3, 5, 8, 13, 21, 34, 62]:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conftest import all_labelled_graphs
 from gcanon import canon, codec
 from gcanon.core import Graph, ZeroVertexError
+from gcanon.filters import evaluate, parse_filter_spec
 from gcanon.generate import GenOptions, RandomModel, generate_graphs, generate_random_graphs
 
 A000088 = [1, 2, 4, 11, 34, 156, 1044]
@@ -40,15 +42,37 @@ def test_outputs_are_canonical_and_distinct():
         assert canon.canonical_label(g).canonical_graph == g
 
 
+@functools.cache
+def brute_force_classes(n):
+    """Canonical keys of every class, from all 2^C(n,2) labelled graphs."""
+    return frozenset(canon._canon_key(n, g.rows) for g in all_labelled_graphs(n))
+
+
 def brute_force_class_keys(n, predicate=None):
-    keys = set()
-    for g in all_labelled_graphs(n):
-        if predicate is None or predicate(g):
-            keys.add(canon._canon_key(n, g.rows))
-    return keys
+    # Every predicate is isomorphism-invariant, so one representative per class decides.
+    return {
+        key
+        for key in brute_force_classes(n)
+        if predicate is None or predicate(Graph(n, tuple(codec.rows_from_key(n, key))))
+    }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+# Hereditary clauses (pruned on every level) in plain, ranged and negated
+# forms, and final-only clauses.
+FILTER_SPECS = [
+    "NumCycles=0",
+    "NumCycles=1..2",
+    "!NumCycles=0",
+    "Bipartite=false",
+    "!Bipartite=false",
+    "!NumEdges=0..3",
+    "Girth=4..5",
+    "Connectivity=2",
+    "NumCycles=0,!Connectivity=0",
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_completeness_against_brute_force(n):
     cases = [
         (GenOptions(), None),
@@ -62,14 +86,12 @@ def test_completeness_against_brute_force(n):
             lambda g: g.is_connected() and g.is_bipartite() and g.num_edges() <= 5,
         ),
     ]
-    for opts, predicate in cases:
-        got = {codec.key_from_rows(n, codec.decode(s).rows) for s in generate_graphs(n, opts)}
-        assert got == brute_force_class_keys(n, predicate), opts
-
-
-def test_completeness_against_brute_force_n6_defaults():
-    got = {codec.key_from_rows(6, codec.decode(s).rows) for s in generate_graphs(6)}
-    assert got == brute_force_class_keys(6)
+    for spec in FILTER_SPECS:
+        graph_filter = parse_filter_spec(spec)
+        cases.append((graph_filter, functools.partial(evaluate, graph_filter)))
+    for constraints, predicate in cases:
+        got = {codec.key_from_rows(n, codec.decode(s).rows) for s in generate_graphs(n, constraints)}
+        assert got == brute_force_class_keys(n, predicate), constraints
 
 
 def test_bipartite_counts():
