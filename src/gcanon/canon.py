@@ -11,7 +11,9 @@ changes the result, only how many leaves are visited.
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
 seeded with the cells left to right, a splitting cell is replaced in place by
 its fragments in ascending neighbour-count order, and new fragments join the
-back of the worklist.
+back of the worklist.  With an invariant hook, each time the worklist empties
+every cell is split by ascending invariant value over a snapshot colouring;
+if any cell split, every cell rejoins the worklist.
 """
 
 from __future__ import annotations
@@ -36,10 +38,24 @@ class CanonResult:
     leaf_count: int
 
 
-def _refine_cells(rows: Sequence[int], cells: list[list[int]], alpha: deque[int]) -> None:
+def _mask(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _refine(
+    rows: Sequence[int],
+    cells: list[list[int]],
+    alpha: deque[int],
+    graph: Graph | None = None,
+    invariant: Invariant | None = None,
+) -> None:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds splitter masks still to be processed.
+    alpha holds splitter masks still to be processed; an invariant adds the
+    invariant round described in the module docstring.
     """
     bc = int.bit_count
     while alpha:
@@ -68,65 +84,32 @@ def _refine_cells(rows: Sequence[int], cells: list[list[int]], alpha: deque[int]
                     fmask |= 1 << v
                 alpha.append(fmask)
             i += len(frags)
-
-
-def _split_by_invariant(graph: Graph, cells: list[list[int]], invariant: Invariant) -> bool:
-    """One pass of invariant-based cell splitting; True if anything split."""
-    colouring = Colouring(tuple(frozenset(c) for c in cells))
-    changed = False
-    i = 0
-    while i < len(cells):
-        cell = cells[i]
-        if len(cell) == 1:
-            i += 1
-            continue
-        groups: dict[object, list[int]] = {}
-        for v in cell:
-            groups.setdefault(invariant(graph, colouring, v), []).append(v)
-        if len(groups) == 1:
-            i += 1
-            continue
-        frags = [groups[key] for key in sorted(groups)]
-        cells[i : i + 1] = frags
-        i += len(frags)
-        changed = True
-    return changed
-
-
-def _refine_full(
-    rows: Sequence[int],
-    cells: list[list[int]],
-    alpha: deque[int],
-    graph: Graph | None,
-    invariant: Invariant | None,
-) -> None:
-    _refine_cells(rows, cells, alpha)
     if invariant is None:
         return
-    assert graph is not None
-    while _split_by_invariant(graph, cells, invariant):
-        _refine_cells(rows, cells, deque(_cell_masks(cells)))
-
-
-def _cell_masks(cells: Iterable[list[int]]) -> list[int]:
-    masks = []
+    colouring = Colouring(tuple(frozenset(c) for c in cells))
+    split: list[list[int]] = []
     for cell in cells:
-        m = 0
+        if len(cell) == 1:
+            split.append(cell)
+            continue
+        keyed: dict[object, list[int]] = {}
         for v in cell:
-            m |= 1 << v
-        masks.append(m)
-    return masks
+            keyed.setdefault(invariant(graph, colouring, v), []).append(v)
+        split.extend(keyed[key] for key in sorted(keyed))
+    if len(split) > len(cells):
+        cells[:] = split
+        _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
 
 
 def _search(
     n: int,
     rows: Sequence[int],
-    init_cells: list[list[int]],
+    cells: list[list[int]],
     prune: bool = True,
     graph: Graph | None = None,
     invariant: Invariant | None = None,
 ) -> tuple[int, list[int], list[tuple[int, ...]], int]:
-    """Run the canonical search; returns (best key, best order, generators, leaves)."""
+    """Search from sorted cells, refined in place; returns (best key, best order, generators, leaves)."""
     total_bits = n * (n - 1) // 2
     gens: list[tuple[int, ...]] = []
     gen_seen: set[tuple[int, ...]] = set()
@@ -138,11 +121,7 @@ def _search(
         nonlocal best_key, best_order, leaf_count
         leaf_count += 1
         order = [c[0] for c in cells]
-        key = 0
-        for j in range(1, n):
-            rj = rows[order[j]]
-            for i in range(j):
-                key = (key << 1) | ((rj >> order[i]) & 1)
+        key = codec.key_from_rows(rows, order)
         if key > best_key:
             best_key = key
             best_order = order
@@ -191,11 +170,7 @@ def _search(
             process_leaf(cells)
             return
         if prune and best_key >= 0 and lead >= 2:
-            pk = 0
-            for j in range(1, lead):
-                rj = rows[cells[j][0]]
-                for i in range(j):
-                    pk = (pk << 1) | ((rj >> cells[i][0]) & 1)
+            pk = codec.key_from_rows(rows, [c[0] for c in cells[:lead]])
             if pk < best_key >> (total_bits - lead * (lead - 1) // 2):
                 return
         cell = cells[target]
@@ -205,14 +180,13 @@ def _search(
                 continue
             child = [list(c) for c in cells]
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine_full(rows, child, deque([1 << v]), graph, invariant)
+            _refine(rows, child, deque([1 << v]), graph, invariant)
             base.append(v)
             recurse(child, base)
             base.pop()
             explored.append(v)
 
-    cells = [sorted(c) for c in init_cells]
-    _refine_full(rows, cells, deque(_cell_masks(cells)), graph, invariant)
+    _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
     recurse(cells, [])
     return best_key, best_order, gens, leaf_count
 
@@ -247,7 +221,7 @@ def refine(graph: Graph, colouring: Colouring | None = None, invariant: Invarian
     if graph.n == 0:
         raise ZeroVertexError("cannot refine a colouring of the zero-vertex graph")
     cells = _cells_for(graph, colouring)
-    _refine_full(graph.rows, cells, deque(_cell_masks(cells)), graph, invariant)
+    _refine(graph.rows, cells, deque(map(_mask, cells)), graph, invariant)
     return Colouring(tuple(frozenset(c) for c in cells))
 
 
@@ -313,11 +287,7 @@ def automorphism_generators(graph: Graph, colouring: Colouring | None = None) ->
     The generators span a subgroup of the colour-preserving automorphism
     group; generating the whole group is not guaranteed.
     """
-    if graph.n == 0:
-        raise ZeroVertexError("the zero-vertex graph has no automorphisms")
-    cells = _cells_for(graph, colouring)
-    _, _, gens, _ = _search(graph.n, graph.rows, cells)
-    return [Permutation(g) for g in gens]
+    return list(canonical_label(graph, colouring).automorphism_generators)
 
 
 def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
@@ -336,7 +306,8 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
                 raise ZeroVertexError("zero-vertex graph")
             key = (graph.n, _canon_key(graph.n, graph.rows))
         except ValueError as exc:
-            raise type(exc)(f"item {index}: {exc}") from exc
+            exc.args = (f"item {index}: {exc}",)
+            raise
         if key not in seen:
             seen.add(key)
             kept.append(item)

@@ -30,18 +30,22 @@ def triangle_bits(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def key_from_rows(n: int, rows) -> int:
-    """Pack the upper triangle of an adjacency matrix into an int, column order."""
+def key_from_rows(rows, order) -> int:
+    """Pack the upper triangle of the vertices in ``order`` into an int, column order.
+
+    The first pair is the most significant bit, so the key of ``order[:m]`` is
+    the top m(m-1)/2 bits of the key of ``order``.
+    """
     key = 0
-    for j in range(1, n):
-        rj = rows[j]
-        for i in range(j):
-            key = (key << 1) | ((rj >> i) & 1)
+    for j, v in enumerate(order):
+        rv = rows[v]
+        for u in order[:j]:
+            key = (key << 1) | ((rv >> u) & 1)
     return key
 
 
 def rows_from_key(n: int, key: int) -> list[int]:
-    """Inverse of key_from_rows."""
+    """Inverse of key_from_rows for the identity order range(n)."""
     rows = [0] * n
     pos = triangle_bits(n)
     for j in range(1, n):
@@ -101,7 +105,7 @@ def encode_graph6(graph: Graph) -> str:
     if graph.n == 0:
         raise ZeroVertexError("cannot encode a zero-vertex graph")
     _check_size(graph.n)
-    return graph6_from_key(graph.n, key_from_rows(graph.n, graph.rows))
+    return graph6_from_key(graph.n, key_from_rows(graph.rows, range(graph.n)))
 
 
 def encode_sparse6(graph: Graph) -> str:
@@ -226,10 +230,10 @@ def _decode_sparse6(s: str) -> Graph:
 def decode(s: str) -> Graph:
     """Decode a Graph6 or Sparse6 string (detected by the ':' prefix).
 
-    A single trailing newline is tolerated; any other stray byte is an error
-    reported with its offset.
+    A single trailing newline, LF or CR LF, is tolerated; any other stray
+    byte is an error reported with its offset.
     """
-    s = s.rstrip("\r\n")
+    s = s[:-2] if s.endswith("\r\n") else s.removesuffix("\n")
     if not s:
         raise CodecError("empty graph string")
     if s[0] == ":":

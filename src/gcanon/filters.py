@@ -256,5 +256,6 @@ def filter_graphs(items: Iterable[Graph | str], graph_filter: GraphFilter) -> li
             if evaluate(graph_filter, graph):
                 kept.append(item)
         except ValueError as exc:
-            raise type(exc)(f"item {index}: {exc}") from exc
+            exc.args = (f"item {index}: {exc}",)
+            raise
     return kept

@@ -237,8 +237,9 @@ def test_remove_isomorphs_mixed_kinds():
 
 
 def test_remove_isomorphs_error_carries_index():
-    with pytest.raises(ValueError, match="item 1"):
+    with pytest.raises(codec.CodecError, match="item 1") as info:
         remove_isomorphs(["Dhc", "D c", "D~{"])
+    assert info.value.offset == 1
     with pytest.raises(ValueError, match="item 2"):
         remove_isomorphs([Graph.path(2), Graph.path(3), Graph.empty(0)])
 
@@ -259,10 +260,21 @@ def test_invariant_hook():
                 count += graph.has_edge(a, b)
         return count
 
+    def check_hooked_refinement(g):
+        plain = refine(g)
+        hooked = refine(g, invariant=triangles_at)
+        assert is_equitable(g, hooked)
+        assert refines(hooked, plain)
+        for cell in hooked.cells:
+            assert len({triangles_at(g, hooked, v) for v in cell}) == 1
+        assert refine(g, hooked, invariant=triangles_at) == hooked  # idempotent
+        return plain, hooked
+
     rng = random.Random(28)
     for _ in range(60):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.random())
+        check_hooked_refinement(g)
         sigma = random_permutation(rng, n)
         h = permute_graph(g, sigma)
         # still a canonical labelling map when the hook is supplied
@@ -274,6 +286,10 @@ def test_invariant_hook():
         assert result.canonical_graph == permute_graph(g, result.labelling)
     # the hook refines: a triangle hanging off a square splits degree-2 cells
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
-    plain = refine(g)
-    hooked = refine(g, invariant=triangles_at)
+    plain, hooked = check_hooked_refinement(g)
     assert len(hooked.cells) >= len(plain.cells)
+    # in this cubic graph the triangle split leaves an inequitable colouring,
+    # so degree refinement has to run again after it
+    cubic = codec.decode("GBYKn?")
+    plain, hooked = check_hooked_refinement(cubic)
+    assert plain == Colouring.unit(8) and len(hooked.cells) > 2

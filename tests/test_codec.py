@@ -5,7 +5,7 @@ import pytest
 from conftest import all_labelled_graphs, random_graph
 from gcanon import generate
 from gcanon.codec import CodecError, decode, encode_graph6, encode_sparse6, graph6_from_key, key_from_rows, rows_from_key
-from gcanon.core import Graph, VertexCapError, ZeroVertexError
+from gcanon.core import Graph, Permutation, VertexCapError, ZeroVertexError, permute_graph
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4)])
 
@@ -24,6 +24,9 @@ def test_decode_dhc_edge_list():
 def test_trailing_newline_tolerated():
     assert decode("Dhc\n") == C5
     assert decode("Dhc\r\n") == C5
+    with pytest.raises(CodecError) as info:  # only one newline is stripped
+        decode("Dhc\n\n")
+    assert info.value.offset == 3
 
 
 def test_internal_whitespace_is_an_error():
@@ -107,9 +110,18 @@ def test_key_round_trip():
     for _ in range(50):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, 0.5)
-        key = key_from_rows(n, g.rows)
+        key = key_from_rows(g.rows, range(n))
         assert tuple(rows_from_key(n, key)) == g.rows
         assert graph6_from_key(n, key) == encode_graph6(g)
+        # packing in a vertex order is packing the graph relabelled by it
+        order = rng.sample(range(n), n)
+        image = Permutation(tuple(order.index(v) for v in range(n)))
+        ordered_key = key_from_rows(g.rows, order)
+        assert ordered_key == key_from_rows(permute_graph(g, image).rows, range(n))
+        # a prefix of the order packs the top bits, as prefix pruning assumes
+        for m in range(n + 1):
+            top = ordered_key >> (n * (n - 1) // 2 - m * (m - 1) // 2)
+            assert key_from_rows(g.rows, order[:m]) == top
 
 
 def test_graph6_exhaustive_round_trip_small():

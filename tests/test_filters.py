@@ -242,6 +242,9 @@ def test_tree_counts_small():
 def test_filter_graphs_error_carries_index():
     with pytest.raises(ValueError, match="item 1"):
         filter_graphs(["Dhc", "garbage!", "D~{"], ACCEPT_ALL)
+    with pytest.raises(codec.CodecError, match="item 1") as info:
+        filter_graphs(["Dhc", "D c"], ACCEPT_ALL)
+    assert info.value.offset == 1
     with pytest.raises(ValueError, match="item 0"):
         filter_graphs([Graph.empty(0)], ACCEPT_ALL)
 

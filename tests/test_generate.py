@@ -90,7 +90,7 @@ def test_completeness_against_brute_force(n):
         graph_filter = parse_filter_spec(spec)
         cases.append((graph_filter, functools.partial(evaluate, graph_filter)))
     for constraints, predicate in cases:
-        got = {codec.key_from_rows(n, codec.decode(s).rows) for s in generate_graphs(n, constraints)}
+        got = {codec.key_from_rows(codec.decode(s).rows, range(n)) for s in generate_graphs(n, constraints)}
         assert got == brute_force_class_keys(n, predicate), constraints
 
 
