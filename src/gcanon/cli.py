@@ -57,7 +57,7 @@ def _fail(message: str, code: int = 2) -> NoReturn:
 
 def _graph_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
+        line = codec.strip_line_end(raw)
         if lineno == 1:
             stripped_header = False
             for header in (">>graph6<<", ">>sparse6<<"):

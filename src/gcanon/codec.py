@@ -227,13 +227,18 @@ def _decode_sparse6(s: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def strip_line_end(s: str) -> str:
+    """``s`` without one trailing LF or CR LF; any other trailing byte stays."""
+    return s[:-2] if s.endswith("\r\n") else s.removesuffix("\n")
+
+
 def decode(s: str) -> Graph:
     """Decode a Graph6 or Sparse6 string (detected by the ':' prefix).
 
     A single trailing newline, LF or CR LF, is tolerated; any other stray
     byte is an error reported with its offset.
     """
-    s = s[:-2] if s.endswith("\r\n") else s.removesuffix("\n")
+    s = strip_line_end(s)
     if not s:
         raise CodecError("empty graph string")
     if s[0] == ":":

@@ -8,6 +8,19 @@ of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c), prune
 the neighbourhoods on every level; the whole filter is then evaluated once
 on the final level, which settles the other clauses (Connected,
 Connectivity, lower bounds, negations).
+
+Before any canonical form is computed, a child is dropped unless its new
+vertex has maximum degree in it.  With ``top`` the parent's maximum degree
+and ``top_mask`` the parent vertices of that degree, a neighbourhood ``m``
+is kept when ``|m| >= top + (1 if m meets top_mask else 0)``.  No class is
+lost: every class X arises from X - v for a maximum-degree vertex v; X - v,
+an induced subgraph, keeps the hereditary clauses, so it was generated on
+the level below and the neighbourhood of v survives their pruning; and the
+degree test is invariant under the parent's automorphisms, so it commutes
+with taking one neighbourhood per orbit.  The key set still removes the
+remaining duplicates, so the output is unchanged.  The test is the cheapest
+case of McKay's canonical augmentation (*Isomorph-free exhaustive
+generation*, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -173,8 +186,16 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
         keys = set()
         new_bit = 1 << (k - 1)
         for parent in parents:
+            degrees = [r.bit_count() for r in parent]
+            top = max(degrees)
+            top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
+            masks = [
+                m
+                for m in _neighbourhood_masks(parent, *bounds)
+                if m.bit_count() >= top + (1 if m & top_mask else 0)  # new vertex of maximum degree
+            ]
             gens = canon._canon_key_and_gens(k - 1, parent)[1] if k > 2 else []
-            for mask in _orbit_reps(_neighbourhood_masks(parent, *bounds), gens):
+            for mask in _orbit_reps(masks, gens):
                 child = [parent[i] | (new_bit if (mask >> i) & 1 else 0) for i in range(k - 1)]
                 child.append(mask)
                 keys.add(canon._canon_key(k, child))

@@ -160,6 +160,11 @@ def test_stream_errors_carry_line_numbers(capsys):
     code, _ = run_cli(["short"], "\nDhc\n")
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+    # One LF or CR LF ends a line, as in codec.decode; a further CR is a stray byte.
+    assert run_cli(["label"], "Dhc\r\n") == (0, "DLo\n")
+    code, _ = run_cli(["label"], "Dhc\r\r\n")
+    assert code == 2
+    assert "line 1:" in capsys.readouterr().err
 
 
 def test_header_line_stripped():

@@ -6,7 +6,7 @@ import pytest
 from conftest import all_labelled_graphs
 from gcanon import canon, codec
 from gcanon.core import Graph, ZeroVertexError
-from gcanon.filters import evaluate, parse_filter_spec
+from gcanon.filters import evaluate, filter_graphs, parse_filter_spec
 from gcanon.generate import GenOptions, RandomModel, generate_graphs, generate_random_graphs
 
 A000088 = [1, 2, 4, 11, 34, 156, 1044]
@@ -40,6 +40,11 @@ def test_outputs_are_canonical_and_distinct():
     for line in lines:
         g = codec.decode(line)
         assert canon.canonical_label(g).canonical_graph == g
+
+
+@functools.cache
+def census(n):
+    return generate_graphs(n)
 
 
 @functools.cache
@@ -92,6 +97,31 @@ def test_completeness_against_brute_force(n):
     for constraints, predicate in cases:
         got = {codec.key_from_rows(codec.decode(s).rows, range(n)) for s in generate_graphs(n, constraints)}
         assert got == brute_force_class_keys(n, predicate), constraints
+
+
+def test_classes_match_networkx_atlas():
+    # An oracle independent of generation: the atlas lists every class on
+    # up to 7 vertices once, each under some labelling of 0..n-1.
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    for n in range(1, 8):
+        forms = [
+            codec.encode_graph6(canon.canonical_label(Graph.from_edges(n, list(g.edges()))).canonical_graph)
+            for g in atlas
+            if g.number_of_nodes() == n
+        ]
+        assert sorted(forms) == census(n), n
+
+
+# Each hereditary pruner, alone and with others, one size past the brute-force
+# oracle: pruned generation must equal filtering the unrestricted census.
+@pytest.mark.parametrize(
+    "spec",
+    ["NumEdges=0..6", "NumCycles=0..2", "Bipartite=true", "NumCycles=0,!Connectivity=0", "Bipartite=true,NumEdges=0..5"],
+)
+def test_pruned_generation_matches_post_filter_n7(spec):
+    graph_filter = parse_filter_spec(spec)
+    assert generate_graphs(7, graph_filter) == sorted(filter_graphs(census(7), graph_filter))
 
 
 def test_bipartite_counts():
