@@ -8,6 +8,13 @@ disconnect it.  The single-vertex graph is connected and therefore matches
 no Connectivity value at all, even though its vertex connectivity is 0 by
 the complete-graph convention.
 
+A ``Connectivity=lo..hi`` clause on a connected graph computes
+min(kappa, hi + 1), which lies in [lo, hi] exactly when kappa does.  The
+helper behind it starts its bound at min(minimum degree, hi + 1), as kappa
+never exceeds the minimum degree, and skips every non-adjacent pair whose
+common neighbours already reach the bound, as those give that many disjoint
+paths; so no flow runs whose answer cannot change the verdict.
+
 The accompanying text grammar (used by the CLI) is a comma-separated list of
 ``Name=value`` items, where value is an integer, an inclusive range
 ``lo..hi``, or ``true``/``false``, and a ``!`` before the name negates the
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import codec
-from .core import Graph, ZeroVertexError, bits
+from .core import Graph, ZeroVertexError, _connectivity_at_most, bits
 
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
 INTEGER_PROPERTIES = frozenset(
@@ -205,7 +212,8 @@ def _connectivity_matches(graph: Graph, lo: int, hi: int) -> bool:
         return False
     if hi < 1:
         return False  # connected graphs on n >= 2 vertices have connectivity >= 1
-    return lo <= graph.vertex_connectivity() <= hi
+    # min(kappa, hi + 1) decides lo <= kappa <= hi; flows never go past it.
+    return lo <= _connectivity_at_most(graph, hi + 1) <= hi
 
 
 # Plain property values; Connectivity and Girth are matched separately.

@@ -49,6 +49,16 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, [e for e in all_pairs(n) if rng.random() < p])
 
 
+def to_networkx(g: Graph):
+    """The same labelled graph as a networkx Graph (call after importorskip)."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def random_permutation(rng: random.Random, n: int) -> Permutation:
     image = list(range(n))
     rng.shuffle(image)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import all_labelled_graphs, random_graph
+from conftest import all_labelled_graphs, random_graph, to_networkx
 from gcanon import generate
 from gcanon.codec import CodecError, decode, encode_graph6, encode_sparse6, graph6_from_key, key_from_rows, rows_from_key
 from gcanon.core import Graph, Permutation, VertexCapError, ZeroVertexError, permute_graph
@@ -264,3 +264,37 @@ def test_decode_fuzz_raises_only_documented_errors():
         survived += 1
         assert decode(encode_graph6(g)) == g
     assert survived > 0  # some random strings are valid graphs
+
+
+def _edge_set(h):
+    return sorted(tuple(sorted(e)) for e in h.edges())
+
+
+INTEROP_SIZES = [*range(1, 21), 31, 32, 62, 63, 64]
+
+
+def test_graph6_matches_networkx_bytes():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for n in INTEROP_SIZES:
+        for _ in range(6):
+            g = random_graph(rng, n, rng.random())
+            s = encode_graph6(g)
+            text = nx.to_graph6_bytes(to_networkx(g), header=False)
+            assert text == s.encode() + b"\n"
+            assert _edge_set(nx.from_graph6_bytes(s.encode())) == g.edges()
+            assert decode(text.decode()) == g
+
+
+def test_sparse6_decodes_both_ways_with_networkx():
+    # The bytes may differ: networkx pads with a leading 0 bit in more cases
+    # than formats.txt requires, so only the decoded graphs are compared.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    for n in INTEROP_SIZES:
+        for _ in range(6):
+            g = random_graph(rng, n, rng.random() * rng.random())
+            h = nx.from_sparse6_bytes(encode_sparse6(g).encode())
+            assert h.number_of_nodes() == n and _edge_set(h) == g.edges()
+            text = nx.to_sparse6_bytes(to_networkx(g), header=False)
+            assert decode(text.decode()) == g

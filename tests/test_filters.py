@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, to_networkx
 from gcanon import codec
 from gcanon.core import Graph, ZeroVertexError
 from gcanon.filters import (
@@ -178,6 +179,79 @@ def test_connectivity_exact_k_semantics():
     # K1 is connected and cannot be disconnected: matches no value at all
     assert not evaluate(build_graph_filter([("Connectivity", 0)]), Graph.empty(1))
     assert not evaluate(build_graph_filter([("Connectivity", (0, 99))]), Graph.empty(1))
+
+
+def hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if v < v ^ (1 << i)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def two_k5_sharing_two() -> Graph:
+    """K5 on {0, 1, 2, 3, 4} and K5 on {0, 1, 5, 6, 7}: minimum degree 4, connectivity 2."""
+    return Graph.from_edges(8, {e for side in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)) for e in combinations(side, 2)})
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def test_connectivity_cap_witness_q4():
+    # kappa(Q4) = 4 = hi + 1 for 2..3: the flows are capped at 4, not at 3
+    q4 = hypercube(4)
+    assert q4.vertex_connectivity() == 4
+    assert not evaluate(parse_filter_spec("Connectivity=2..3"), q4)
+    assert evaluate(parse_filter_spec("Connectivity=4"), q4)
+    assert not evaluate(parse_filter_spec("Connectivity=5..9"), q4)
+
+
+def test_connectivity_below_minimum_degree_witness():
+    # the minimum degree (4) only starts the bound; the flows bring it down to 2
+    g = two_k5_sharing_two()
+    assert g.vertex_connectivity() == 2
+    assert evaluate(parse_filter_spec("Connectivity=2..3"), g)
+    assert not evaluate(parse_filter_spec("Connectivity=3..4"), g)
+    assert not evaluate(parse_filter_spec("Connectivity=1"), g)
+
+
+def test_connectivity_common_neighbour_witness_k55(monkeypatch):
+    # every non-adjacent pair of K_{5,5} shares 5 = minimum degree neighbours,
+    # so the common-neighbour rule skips them all and no flow runs
+    def no_flow(*args):
+        raise AssertionError("flow on a pair with enough common neighbours")
+
+    monkeypatch.setattr(Graph, "_local_connectivity", no_flow)
+    k55 = complete_bipartite(5, 5)
+    assert k55.vertex_connectivity() == 5
+    assert evaluate(parse_filter_spec("Connectivity=5"), k55)
+    assert not evaluate(parse_filter_spec("Connectivity=2..4"), k55)
+    assert not evaluate(parse_filter_spec("Connectivity=6..9"), k55)
+
+
+def _ranges_around(k: int) -> list[tuple[int, int]]:
+    """Ranges that k lies below, inside and above."""
+    candidates = [(k + 1, k + 3), (k, k), (k - 1, k + 1), (0, k - 1), (k - 3, k - 1)]
+    return [(max(lo, 0), hi) for lo, hi in candidates if hi >= max(lo, 0)]
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    graphs = [hypercube(4), complete_bipartite(3, 5), two_k5_sharing_two(), petersen()]
+    for n in range(7, 21):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.85):
+            graphs += [random_graph(rng, n, p) for _ in range(2)]
+    for g in graphs:
+        kappa = nx.node_connectivity(to_networkx(g))  # 0 when disconnected
+        assert g.vertex_connectivity() == kappa, g
+        for lo, hi in _ranges_around(kappa):
+            spec = build_graph_filter([("Connectivity", (lo, hi))])
+            assert evaluate(spec, g) == (lo <= kappa <= hi), (g, lo, hi)
 
 
 def test_negate_flips_single_clause():
