@@ -4,9 +4,23 @@ The search refines the input colouring to the coarsest equitable one, then
 repeatedly individualizes each member of the first smallest non-singleton
 cell and recurses.  Every discrete colouring (leaf) reads off a candidate
 relabelling; the canonical graph is the candidate whose upper-triangle
-bit-vector is lexicographically greatest.  Automorphisms discovered when two
-leaves produce the same candidate prune sibling branches; pruning never
-changes the result, only how many leaves are visited.
+bit-vector is lexicographically greatest.
+
+A leaf whose candidate equals the best one yields an automorphism sigma
+mapping the best leaf onto it.  Sigma fixes the path the two leaves share
+and moves the vertex individualized at the level d where they part.  Each
+level of the current path holds an orbit array (minimum-label
+representatives) of the kept automorphisms that fix the path above it; the
+array is built from them when the level first needs it.  Sigma is kept only
+if it joins two orbits at level d; it is then joined into the built arrays
+of the ancestors too, whose groups contain the group at d, so a sigma that
+joins nothing at d joins nothing above it either.  A sibling is skipped when
+it shares an orbit with an explored one (cells stay sorted, so exactly when
+it is not the minimum of its orbit): its subtree is the image of an explored
+subtree, so pruning never changes the result, only how many leaves are
+visited.  The kept automorphisms generate the whole colour-preserving
+automorphism group (McKay, *Practical graph isomorphism*, 1981; McKay &
+Piperno, J. Symb. Comput. 60, 2014).
 
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
 seeded with the cells left to right, a splitting cell is replaced in place by
@@ -101,6 +115,33 @@ def _refine(
         _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
 
 
+def _join(orbits: list[int], sigma: Sequence[int]) -> bool:
+    """Merge the orbits of sigma into orbits, kept as minimum-label representatives.
+
+    Returns whether two orbits merged.  Representatives only ever point to a
+    smaller label, so one ascending pass flattens the merged trees.
+    """
+    merged = False
+    for v, w in enumerate(sigma):
+        a = orbits[v]
+        b = orbits[w]
+        if a != b:
+            while orbits[a] != a:
+                a = orbits[a]
+            while orbits[b] != b:
+                b = orbits[b]
+            if a < b:
+                orbits[b] = a
+                merged = True
+            elif b < a:
+                orbits[a] = b
+                merged = True
+    if merged:
+        for v in range(len(orbits)):
+            orbits[v] = orbits[orbits[v]]
+    return merged
+
+
 def _search(
     n: int,
     rows: Sequence[int],
@@ -112,10 +153,20 @@ def _search(
     """Search from sorted cells, refined in place; returns (best key, best order, generators, leaves)."""
     total_bits = n * (n - 1) // 2
     gens: list[tuple[int, ...]] = []
-    gen_seen: set[tuple[int, ...]] = set()
+    moved: list[int] = []  # per generator, the mask of the vertices it moves
+    levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
+    base: list[int] = []
     best_key = -1
     best_order: list[int] = []
     leaf_count = 0
+
+    def build_level(d: int) -> list[int]:
+        fixed = _mask(base[:d])
+        orbits = levels[d] = list(range(n))
+        for g, m in zip(gens, moved):
+            if not m & fixed:
+                _join(orbits, g)
+        return orbits
 
     def process_leaf(cells: list[list[int]]) -> None:
         nonlocal best_key, best_order, leaf_count
@@ -127,32 +178,23 @@ def _search(
             best_order = order
         elif key == best_key:
             sigma = [0] * n
-            for j in range(n):
-                sigma[best_order[j]] = order[j]
-            sig = tuple(sigma)
-            if sig not in gen_seen:
-                gen_seen.add(sig)
-                gens.append(sig)
+            for b, v in zip(best_order, order):
+                sigma[b] = v
+            # sigma maps the best leaf's path onto this leaf's, so it fixes
+            # the levels the two paths share and moves base[d] where they part.
+            d = 0
+            while sigma[base[d]] == base[d]:
+                d += 1
+            # The first generator needs no join: no level is built yet, and
+            # sigma moves base[d], so it joins two orbits of the trivial group.
+            if not gens or _join(levels[d] or build_level(d), sigma):
+                gens.append(tuple(sigma))
+                moved.append(_mask(v for v, w in enumerate(sigma) if v != w))
+                for orbits in levels[:d]:
+                    if orbits is not None:
+                        _join(orbits, sigma)
 
-    def orbit_reaches(v: int, targets: list[int], base: list[int]) -> bool:
-        relevant = [g for g in gens if all(g[b] == b for b in base)]
-        if not relevant:
-            return False
-        goal = set(targets)
-        orbit = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for g in relevant:
-                y = g[x]
-                if y in goal:
-                    return True
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        return False
-
-    def recurse(cells: list[list[int]], base: list[int]) -> None:
+    def recurse(cells: list[list[int]]) -> None:
         target = -1
         target_size = n + 1
         lead = 0
@@ -173,21 +215,23 @@ def _search(
             pk = codec.key_from_rows(rows, [c[0] for c in cells[:lead]])
             if pk < best_key >> (total_bits - lead * (lead - 1) // 2):
                 return
+        d = len(base)
+        levels[d] = None
         cell = cells[target]
-        explored: list[int] = []
-        for v in cell:
-            if prune and explored and orbit_reaches(v, explored, base):
+        for i, v in enumerate(cell):
+            # An orbit at this level lies inside the sorted cell, so v shares
+            # one with an explored sibling exactly when it is not its minimum.
+            if i and prune and gens and (levels[d] or build_level(d))[v] != v:
                 continue
             child = [list(c) for c in cells]
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
             _refine(rows, child, deque([1 << v]), graph, invariant)
             base.append(v)
-            recurse(child, base)
+            recurse(child)
             base.pop()
-            explored.append(v)
 
     _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
-    recurse(cells, [])
+    recurse(cells)
     return best_key, best_order, gens, leaf_count
 
 
@@ -282,10 +326,11 @@ def are_isomorphic(
 
 
 def automorphism_generators(graph: Graph, colouring: Colouring | None = None) -> list[Permutation]:
-    """Permutations fixing the graph and colouring, found during the search.
+    """Generators of the group of permutations fixing the graph and colouring.
 
-    The generators span a subgroup of the colour-preserving automorphism
-    group; generating the whole group is not guaranteed.
+    They are the automorphisms the search met between equivalent leaves that
+    joined two orbits at the level where the leaves' paths part.  Together
+    they generate the whole colour-preserving automorphism group.
     """
     return list(canonical_label(graph, colouring).automorphism_generators)
 

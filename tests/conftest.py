@@ -132,3 +132,44 @@ def closure_order(generators, n: int) -> int:
                     new.append(product)
         frontier = new
     return len(seen)
+
+
+def brute_force_automorphism_count(g: Graph, colouring=None) -> int:
+    """Number of colour-preserving permutations mapping g onto itself, by enumerating all n!."""
+    colour = [0] * g.n
+    for index, cell in enumerate(colouring.cells if colouring else ()):
+        for v in cell:
+            colour[v] = index
+    edges = g.edges()
+    rows = g.rows
+    return sum(
+        all(colour[perm[v]] == colour[v] for v in range(g.n))
+        and all((rows[perm[u]] >> perm[v]) & 1 for u, v in edges)
+        for perm in itertools.permutations(range(g.n))
+    )
+
+
+def disjoint_union(graphs) -> Graph:
+    """The graphs side by side, relabelled into consecutive blocks."""
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Vertex (a, b) is a * h.n + b; it is adjacent to (a', b) for a ~ a' in g and to (a, b') for b ~ b' in h."""
+    edges = [(a * h.n + b, c * h.n + b) for a, c in g.edges() for b in range(h.n)]
+    edges += [(a * h.n + b, a * h.n + c) for b, c in h.edges() for a in range(g.n)]
+    return Graph.from_edges(g.n * h.n, edges)
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])

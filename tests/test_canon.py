@@ -4,12 +4,16 @@ import random
 import pytest
 
 from conftest import (
+    brute_force_automorphism_count,
     brute_force_colour_isomorphic,
     brute_force_isomorphic,
     closure_order,
+    complete_bipartite,
+    disjoint_union,
     random_colouring,
     random_graph,
     random_permutation,
+    to_networkx,
 )
 from gcanon import codec
 from gcanon.canon import (
@@ -29,9 +33,19 @@ from gcanon.core import (
     permute_colouring,
     permute_graph,
 )
+from gcanon.generate import generate_graphs
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 C5_RELABELLED = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
+
+
+def triangles_at(graph, colouring, v):
+    count = 0
+    nbrs = [w for w in range(graph.n) if graph.has_edge(v, w)]
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1 :]:
+            count += graph.has_edge(a, b)
+    return count
 
 
 def cell_lists(colouring):
@@ -125,11 +139,29 @@ def test_pruning_neutrality():
     rng = random.Random(24)
     specials = [Graph.complete(6), Graph.empty(6), Graph.cycle(6), Graph.cycle(5), Graph.path(4)]
     graphs = specials + [random_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(60)]
-    for g in graphs:
+    # Unions of unlike symmetric parts: an automorphism that moves the path
+    # above a level must not join orbits at that level.
+    witnesses = [
+        disjoint_union([Graph.cycle(4), Graph.complete(3), Graph.complete(3)]),
+        disjoint_union([Graph.cycle(4), Graph.cycle(4), Graph.complete(3)]),
+    ]
+    for g in graphs + witnesses:
         fast = canonical_label(g, prune=True)
         slow = canonical_label(g, prune=False)
         assert fast.canonical_graph == slow.canonical_graph
         assert fast.leaf_count <= slow.leaf_count
+    # Colourings and the invariant hook both shape the orbits kept per level;
+    # either way pruning keeps the result and the whole group.
+    for g in graphs:
+        pi = random_colouring(rng, g.n)
+        order = brute_force_automorphism_count(g, pi)
+        for invariant in (None, triangles_at):
+            fast = canonical_label(g, pi, prune=True, invariant=invariant)
+            slow = canonical_label(g, pi, prune=False, invariant=invariant)
+            assert fast.canonical_graph == slow.canonical_graph
+            assert fast.leaf_count <= slow.leaf_count
+            assert closure_order(fast.automorphism_generators, g.n) == order
+            assert closure_order(slow.automorphism_generators, g.n) == order
 
 
 def test_idempotence_of_canonical_form():
@@ -196,6 +228,56 @@ def test_automorphism_generators_examples():
         assert permute_graph(C5, sigma) == C5
 
 
+def test_generators_span_the_whole_group():
+    # generate._orbit_reps needs the whole group, not just a subgroup.
+    rng = random.Random(29)
+    classes = [codec.decode(line) for n in range(1, 7) for line in generate_graphs(n)]
+    assert len(classes) == 208
+    for g in classes:
+        h = permute_graph(g, random_permutation(rng, g.n))
+        gens = canonical_label(h).automorphism_generators
+        assert closure_order(gens, h.n) == brute_force_automorphism_count(h)
+
+
+def test_symmetric_cliff_sentinel():
+    # Counts, not seconds, so the machine's speed does not matter.  A search
+    # that keeps every matching leaf as a generator keeps leaves - 1 of them
+    # (496 on empty(32)) and filters them all for each sibling it tests.
+    rng = random.Random(30)
+    for g, leaf_cap in [(Graph.empty(32), 497), (Graph.complete(32), 497), (complete_bipartite(16, 16), None)]:
+        relabelled = [permute_graph(g, random_permutation(rng, g.n)) for _ in range(2)]
+        results = [canonical_label(h) for h in relabelled]
+        assert results[0].canonical_graph == results[1].canonical_graph
+        for h, result in zip(relabelled, results):
+            for sigma in result.automorphism_generators:
+                assert permute_graph(h, sigma) == h
+            assert len(result.automorphism_generators) <= g.n - 1
+            if leaf_cap is not None:
+                assert result.leaf_count <= leaf_cap
+
+
+def test_are_isomorphic_matches_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for n in range(8, 21):
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
+        planted = permute_graph(g, random_permutation(rng, n))
+        # near miss: one edge of the relabelled copy moved to a non-edge
+        edges = planted.edges()
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not planted.has_edge(u, v)]
+        moved = list(edges)
+        if edges and non_edges:
+            moved.remove(rng.choice(edges))
+            moved.append(rng.choice(non_edges))
+        near = Graph.from_edges(n, moved)
+        # symmetric: a cycle against a relabelled cycle and two shorter cycles
+        cycle = Graph.cycle(n)
+        two_cycles = disjoint_union([Graph.cycle(n // 2), Graph.cycle(n - n // 2)])
+        pairs = [(g, planted), (g, near), (cycle, permute_graph(cycle, random_permutation(rng, n))), (cycle, two_cycles)]
+        for a, b in pairs:
+            assert are_isomorphic(a, b) == nx.is_isomorphic(to_networkx(a), to_networkx(b)), n
+
+
 def test_automorphism_generators_respect_colouring():
     # pinning one vertex of C5 leaves only the reflection through it
     pi = Colouring(([0], [1, 2, 3, 4]))
@@ -252,14 +334,6 @@ def test_zero_vertex_rejected_everywhere():
 
 
 def test_invariant_hook():
-    def triangles_at(graph, colouring, v):
-        count = 0
-        nbrs = [w for w in range(graph.n) if graph.has_edge(v, w)]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                count += graph.has_edge(a, b)
-        return count
-
     def check_hooked_refinement(g):
         plain = refine(g)
         hooked = refine(g, invariant=triangles_at)
