@@ -10,13 +10,14 @@ The ``repro`` subcommand regenerates the reference tables: graph counts
 (a000088), forests (a005195) and trees (a000055), each from one generation
 run restricted by a filter spec, and the random-graph connectivity
 experiment around the p = log(n)/n threshold (natural logarithm).  The
-``GCANON_VERTEX_CAP`` environment variable overrides the vertex cap for the
-duration of one ``main`` call.
+``GCANON_VERTEX_CAP`` environment variable overrides the vertex cap for one
+``main`` call, inside that call's own ``contextvars`` context.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import math
 import os
 import sys
@@ -78,8 +79,6 @@ def _decode_line(lineno: int, line: str) -> core.Graph:
 
 
 def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
-    if args.n < 1:
-        _fail("zero-vertex graphs are not supported")
     opts = generate.GenOptions(
         only_connected=args.connected,
         only_bipartite=args.bipartite,
@@ -147,14 +146,15 @@ def _cmd_iso(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_repro(args: argparse.Namespace, out: IO[str]) -> int:
     name = args.experiment
+    default_n, spec = COUNT_TABLES.get(name, (30, ""))
+    max_n = args.max_n if args.max_n is not None else default_n
+    if max_n >= 1:
+        core.check_vertex_count(max_n)  # before the rows for every smaller n
     if name in COUNT_TABLES:
-        default_n, spec = COUNT_TABLES[name]
-        max_n = args.max_n if args.max_n is not None else default_n
         graph_filter = filters.parse_filter_spec(spec)
         counts = (len(generate.generate_graphs(n, graph_filter)) for n in range(1, max_n + 1))
         out.write(format_tuple(counts) + "\n")
     else:  # er-connectivity; argparse restricts the choices
-        max_n = args.max_n if args.max_n is not None else 30
         high, low = er_connectivity_rows(max_n, args.trials, args.seed)
         out.write(f"# connected out of {args.trials} at p = 2 log(n)/n, n = 2..{max_n}\n")
         out.write(format_tuple(high) + "\n")
@@ -213,11 +213,15 @@ def _apply_cap_override() -> None:
             raise ValueError
     except ValueError:
         _fail(f"GCANON_VERTEX_CAP must be a positive integer, got {raw!r}")
-    core.VERTEX_CAP = cap
+    core.CAP_OVERRIDE.set(cap)
 
 
 def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
-    saved_cap = core.VERTEX_CAP
+    # A context of its own scopes the cap override to this call and thread.
+    return contextvars.copy_context().run(_main, argv, stdin, stdout)
+
+
+def _main(argv: list[str] | None, stdin: IO[str] | None, stdout: IO[str] | None) -> int:
     try:
         _apply_cap_override()
         args = _build_parser().parse_args(argv)
@@ -242,8 +246,6 @@ def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO
         return 0
     except ValueError as exc:
         _fail(str(exc))
-    finally:
-        core.VERTEX_CAP = saved_cap  # the env override is scoped to this call
 
 
 if __name__ == "__main__":

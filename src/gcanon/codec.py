@@ -12,7 +12,7 @@ mention a loop or repeat an edge are errors rather than being simplified.
 
 from __future__ import annotations
 
-from .core import Graph, ZeroVertexError, _check_size
+from .core import Graph, ZeroVertexError, check_vertex_count
 
 
 class CodecError(ValueError):
@@ -74,17 +74,19 @@ def _group_at(s: str, pos: int) -> int:
 
 
 def _decode_n(s: str, pos: int) -> tuple[int, int]:
-    value = _group_at(s, pos)
-    if value < 63:
-        return value, pos + 1
-    if pos + 1 < len(s) and s[pos + 1] == "~":
-        raise CodecError("8-byte vertex-count headers are not supported", offset=pos)
-    n = 0
-    for i in range(1, 4):
-        n = (n << 6) | _group_at(s, pos + i)
-    if n <= 62:
-        raise CodecError("non-minimal vertex-count header", offset=pos)
-    return n, pos + 4
+    n = _group_at(s, pos)
+    end = pos + 1
+    if n == 63:
+        if pos + 1 < len(s) and s[pos + 1] == "~":
+            raise CodecError("8-byte vertex-count headers are not supported", offset=pos)
+        n = 0
+        for i in range(1, 4):
+            n = (n << 6) | _group_at(s, pos + i)
+        if n <= 62:
+            raise CodecError("non-minimal vertex-count header", offset=pos)
+        end = pos + 4
+    check_vertex_count(n)
+    return n, end
 
 
 def graph6_payload(n: int, key: int) -> str:
@@ -104,7 +106,6 @@ def encode_graph6(graph: Graph) -> str:
     """The Graph6 string of a graph; rejects zero-vertex graphs."""
     if graph.n == 0:
         raise ZeroVertexError("cannot encode a zero-vertex graph")
-    _check_size(graph.n)
     return graph6_from_key(graph.n, key_from_rows(graph.rows, range(graph.n)))
 
 
@@ -113,7 +114,6 @@ def encode_sparse6(graph: Graph) -> str:
     n = graph.n
     if n == 0:
         raise ZeroVertexError("cannot encode a zero-vertex graph")
-    _check_size(n)
     k = max(1, (n - 1).bit_length())
     bits: list[int] = []
 
@@ -154,9 +154,6 @@ def encode_sparse6(graph: Graph) -> str:
 
 def _decode_graph6(s: str) -> Graph:
     n, pos = _decode_n(s, 0)
-    if n == 0:
-        raise ZeroVertexError("graph string declares zero vertices")
-    _check_size(n)
     nbits = triangle_bits(n)
     nbytes = (nbits + 5) // 6
     if len(s) - pos > nbytes:
@@ -173,9 +170,6 @@ def _decode_graph6(s: str) -> Graph:
 
 def _decode_sparse6(s: str) -> Graph:
     n, pos = _decode_n(s, 1)
-    if n == 0:
-        raise ZeroVertexError("graph string declares zero vertices")
-    _check_size(n)
     k = max(1, (n - 1).bit_length())
     groups = [_group_at(s, i) for i in range(pos, len(s))]
     nbits = 6 * len(groups)

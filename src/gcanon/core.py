@@ -5,17 +5,23 @@ Graphs are finite, simple, undirected, on vertex set 0..n-1, stored densely:
 are immutable values and every operation is a pure function, so instances can
 be shared across threads without coordination.
 
-The dense representation targets small graphs; ``VERTEX_CAP`` (default 64)
-bounds the vertex count and anything larger is an error, not a fallback.
+The dense representation targets small graphs.  ``VERTEX_CAP`` (64) is a
+constant bound on the vertex count; anything larger is an error, not a
+fallback.  ``GCANON_VERTEX_CAP`` replaces it for one CLI ``main`` call, in
+that call's own context (``CAP_OVERRIDE``).  Every entry point that takes a
+count checks it with ``check_vertex_count``, so 0 is rejected with the same
+message everywhere.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
+CAP_OVERRIDE: ContextVar[int] = ContextVar("CAP_OVERRIDE")
 
 
 class ZeroVertexError(ValueError):
@@ -29,8 +35,16 @@ class VertexCapError(ValueError):
 def _check_size(n: int) -> None:
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    if n > VERTEX_CAP:
-        raise VertexCapError(f"{n} vertices exceeds the cap of {VERTEX_CAP}")
+    cap = CAP_OVERRIDE.get(VERTEX_CAP)
+    if n > cap:
+        raise VertexCapError(f"{n} vertices exceeds the cap of {cap}")
+
+
+def check_vertex_count(n: int) -> None:
+    """Rejects a vertex count of 0, a negative one, or one above the cap in force."""
+    if n == 0:
+        raise ZeroVertexError("zero-vertex graphs are not supported")
+    _check_size(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +73,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
+        _check_size(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,10 +86,12 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> Graph:
+        _check_size(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
+        _check_size(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -82,11 +99,11 @@ class Graph:
     def cycle(cls, n: int) -> Graph:
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
-        return cls.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        return cls.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
     @classmethod
     def path(cls, n: int) -> Graph:
-        return cls.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        return cls.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import canon, codec
-from .core import Graph, ZeroVertexError, _check_size, bipartition_masks, component_masks
+from .core import Graph, bipartition_masks, check_vertex_count, component_masks
 from .filters import GraphFilter, PropertyConstraint, evaluate
 
 
@@ -68,11 +68,7 @@ class RandomModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n == 0:
-            raise ZeroVertexError("cannot sample zero-vertex graphs")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        _check_size(self.n)
+        check_vertex_count(self.n)
         if self.count < 0:
             raise ValueError(f"sample count must be non-negative, got {self.count}")
         if not 0.0 <= self.p <= 1.0:
@@ -172,11 +168,7 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
     One canonical representative per isomorphism class, sorted ascending as
     byte strings.  Output is deterministic.
     """
-    if n == 0:
-        raise ZeroVertexError("cannot generate zero-vertex graphs")
-    if n < 0:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    _check_size(n)
+    check_vertex_count(n)
     constraints = constraints or GraphFilter()
     bounds = _hereditary_bounds(constraints)
 

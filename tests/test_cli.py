@@ -1,16 +1,24 @@
 import io
 import itertools
+import random
+import threading
 
-from gcanon import codec, core
+import pytest
+
+from gcanon import codec, core, generate
 from gcanon.cli import main
 from gcanon.core import Graph, Permutation, permute_graph
 
 
 def run_cli(argv, stdin_text=""):
+    return run_cli_lines(argv, io.StringIO(stdin_text))
+
+
+def run_cli_lines(argv, stdin):
     out = io.StringIO()
     code = 0
     try:
-        code = main(argv, stdin=io.StringIO(stdin_text), stdout=out)
+        code = main(argv, stdin=stdin, stdout=out)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue()
@@ -208,6 +216,62 @@ def test_vertex_cap_env_override_is_scoped_to_main(monkeypatch):
     monkeypatch.setenv("GCANON_VERTEX_CAP", "4")
     assert run_cli(["gen", "3"])[0] == 0
     assert core.VERTEX_CAP == 64
+    assert Graph.empty(64).n == 64  # the effective cap, not just the attribute
+
+    # While a main call with the override waits for stdin in another thread,
+    # this thread keeps the default cap.
+    reading = threading.Event()
+    release = threading.Event()
+    result = {}
+
+    def stdin_lines():
+        reading.set()
+        release.wait(10)
+        yield "C~\n"
+
+    def worker():
+        result["run"] = run_cli_lines(["label"], stdin_lines())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert reading.wait(10)
+        assert Graph.empty(10).n == 10
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert result["run"] == (0, "C~\n")
+
+
+def test_repro_max_n_above_cap_fails_before_generating(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("generation ran before the cap check")
+
+    monkeypatch.setattr(generate, "generate_graphs", must_not_run)
+    monkeypatch.setattr(generate, "generate_random_graphs", must_not_run)
+    for experiment in ("a000088", "er-connectivity"):
+        code, out = run_cli(["repro", experiment, "--max-n", "65"])
+        assert code == 2 and out == ""
+        assert "cap" in capsys.readouterr().err
+    assert run_cli(["repro", "a000088", "--max-n", "0"]) == (0, "()\n")
+
+
+def test_zero_count_has_one_message_everywhere(capsys):
+    message = "zero-vertex graphs are not supported"
+    for call in (
+        lambda: generate.generate_graphs(0),
+        lambda: generate.RandomModel(0, 1, 0.5),
+        lambda: codec.decode("?"),
+        lambda: codec.decode(":?"),
+    ):
+        with pytest.raises(core.ZeroVertexError, match=f"^{message}$"):
+            call()
+    for argv in (["gen", "0"], ["rand", "0", "1", "0.5"]):
+        assert run_cli(argv)[0] == 2
+        assert capsys.readouterr().err == f"gcanon: {message}\n"
+    assert run_cli(["label"], "?\n")[0] == 2
+    assert capsys.readouterr().err == f"gcanon: line 1: {message}\n"
 
 
 from conftest import run_module_cli as module_cli
@@ -229,3 +293,10 @@ def test_vertex_cap_env_override_subprocess():
     assert result.returncode == 0
     result = module_cli(["gen", "3"], env_extra={"GCANON_VERTEX_CAP": "bananas"})
     assert result.returncode == 2
+    # Raising the cap admits graphs above the default: a 65-vertex G(65, 1/2).
+    g6 = codec.graph6_from_key(65, random.Random(65).getrandbits(codec.triangle_bits(65)))
+    result = module_cli(["label"], g6 + "\n")
+    assert result.returncode == 2 and "cap" in result.stderr
+    result = module_cli(["label"], g6 + "\n", env_extra={"GCANON_VERTEX_CAP": "70"})
+    assert result.returncode == 0
+    assert result.stdout.startswith("~?@@") and result.stdout.count("\n") == 1

@@ -1,14 +1,18 @@
+import contextvars
 import random
 
 import pytest
 
 from conftest import all_labelled_graphs, brute_force_isomorphic, random_colouring, random_graph, random_permutation
 from gcanon.core import (
+    CAP_OVERRIDE,
+    VERTEX_CAP,
     Colouring,
     Graph,
     Permutation,
     VertexCapError,
     ZeroVertexError,
+    check_vertex_count,
     is_colour_preserving,
     normalize_colouring,
     permute_colouring,
@@ -241,3 +245,34 @@ def test_vertex_cap_is_configurable(monkeypatch):
     with pytest.raises(VertexCapError):
         Graph.empty(5)
     assert Graph.empty(4).n == 4
+
+
+@pytest.mark.parametrize("n", [65, 2**70])
+def test_constructors_check_the_cap_before_allocating(n):
+    # At 2**70 a constructor that allocated first would raise OverflowError
+    # (empty, complete, from_edges) or build an unbounded edge list (cycle, path).
+    for build in (Graph.empty, Graph.complete, Graph.from_edges, Graph.cycle, Graph.path):
+        with pytest.raises(VertexCapError):
+            build(n)
+
+
+def test_check_vertex_count_is_the_one_count_rule():
+    with pytest.raises(ZeroVertexError, match="^zero-vertex graphs are not supported$"):
+        check_vertex_count(0)
+    with pytest.raises(ValueError) as info:
+        check_vertex_count(-1)
+    assert not isinstance(info.value, (ZeroVertexError, VertexCapError))
+    with pytest.raises(VertexCapError):
+        check_vertex_count(VERTEX_CAP + 1)
+    check_vertex_count(1)
+    check_vertex_count(VERTEX_CAP)
+
+
+def test_cap_override_is_scoped_to_its_context():
+    def raised_cap():
+        CAP_OVERRIDE.set(VERTEX_CAP + 6)
+        return Graph.empty(VERTEX_CAP + 1).n
+
+    assert contextvars.copy_context().run(raised_cap) == VERTEX_CAP + 1
+    with pytest.raises(VertexCapError):
+        Graph.empty(VERTEX_CAP + 1)

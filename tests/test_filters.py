@@ -254,6 +254,34 @@ def test_connectivity_matches_networkx():
             assert evaluate(spec, g) == (lo <= kappa <= hi), (g, lo, hi)
 
 
+def test_girth_components_and_bipartition_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    graphs = []
+    for n in range(8, 65, 4):
+        graphs.append(random_graph(rng, n, 1.0 / n))  # sparse: forests with many components
+        graphs.append(random_graph(rng, n, 3.0 / n))  # sparse with a few cycles
+        side = [rng.random() < 0.5 for _ in range(n)]  # planted bipartite
+        across = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+        graphs.append(Graph.from_edges(n, [e for e in across if rng.random() < 0.2]))
+        graphs.append(Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)]))  # a tree
+    for g in graphs:
+        h = to_networkx(g)
+        expected_girth = nx.girth(h)
+        assert girth(g) == (None if expected_girth == float("inf") else expected_girth), g
+        assert g.component_count() == nx.number_connected_components(h), g
+        sides = g.bipartition()
+        assert (sides is not None) == nx.is_bipartite(h), g
+        if sides is not None:
+            a, b = sides
+            assert a | b == set(range(g.n)) and not a & b
+            assert all((u in a) != (v in a) for u, v in g.edges())
+    # the sample reaches every case the oracles distinguish
+    assert any(girth(g) is None and g.component_count() > 1 for g in graphs)
+    assert any(g.bipartition() is None for g in graphs)
+    assert any(g.bipartition() is not None and girth(g) is not None for g in graphs)
+
+
 def test_negate_flips_single_clause():
     rng = random.Random(33)
     cases = [

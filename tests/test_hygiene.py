@@ -1,0 +1,90 @@
+"""Source checks that keep the package free of mutable module globals.
+
+Every ``src/gcanon/*.py`` is parsed with ``ast``; a ``global`` statement, or
+an assignment (plain, augmented, annotated, ``del`` or ``setattr``) to an
+attribute of an imported module, fails the test.  Scoped state belongs in a
+``contextvars.ContextVar`` or an explicit parameter instead.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "gcanon").glob("*.py"))
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names that an import statement anywhere in the file binds to a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "gcanon" if node.level else ""
+            source = ".".join(part for part in (base, node.module) if part)
+            parent = importlib.import_module(source)
+            for alias in node.names:
+                if isinstance(getattr(parent, alias.name, None), types.ModuleType):
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+def _calls(node: ast.AST, *names: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def _written_attributes(tree: ast.Module) -> list[ast.Attribute]:
+    written = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif _calls(node, "setattr", "delattr") and node.args:
+            targets = [ast.Attribute(value=node.args[0], attr="?", lineno=node.lineno)]
+        else:
+            continue
+        for target in targets:
+            written += [t for t in ast.walk(target) if isinstance(t, ast.Attribute)]
+    return written
+
+
+def module_global_writes(source: str) -> list[str]:
+    """Line-numbered descriptions of every forbidden statement in ``source``."""
+    tree = ast.parse(source)
+    modules = _module_names(tree)
+    found = [f"line {n.lineno}: global {', '.join(n.names)}" for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    for attr in _written_attributes(tree):
+        if isinstance(attr.value, ast.Name) and attr.value.id in modules:
+            found.append(f"line {attr.lineno}: writes {attr.value.id}.{attr.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_mutable_module_globals(path):
+    assert module_global_writes(path.read_text()) == []
+
+
+def test_hygiene_check_catches_the_forbidden_forms():
+    source = """
+from . import core
+import os as o
+
+def f():
+    global X
+    core.VERTEX_CAP = 3
+    o.sep += "/"
+    setattr(core, "VERTEX_CAP", 4)
+    core.CAP_OVERRIDE.set(5)
+"""
+    assert module_global_writes(source) == [
+        "line 6: global X",
+        "line 7: writes core.VERTEX_CAP",
+        "line 8: writes o.sep",
+        "line 9: writes core.?",
+    ]
