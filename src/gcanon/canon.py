@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import codec
-from .core import Colouring, Graph, Permutation, ZeroVertexError
+from .core import Colouring, Graph, Permutation
 
 Invariant = Callable[[Graph, Colouring, int], object]
 
@@ -262,8 +262,6 @@ def refine(graph: Graph, colouring: Colouring | None = None, invariant: Invarian
     cells by key between refinement rounds; the default is pure degree
     refinement.
     """
-    if graph.n == 0:
-        raise ZeroVertexError("cannot refine a colouring of the zero-vertex graph")
     cells = _cells_for(graph, colouring)
     _refine(graph.rows, cells, deque(map(_mask, cells)), graph, invariant)
     return Colouring(tuple(frozenset(c) for c in cells))
@@ -285,8 +283,6 @@ def canonical_label(
     disables automorphism and partial-candidate pruning (same result, more
     leaves explored).
     """
-    if graph.n == 0:
-        raise ZeroVertexError("cannot canonically label the zero-vertex graph")
     cells = _cells_for(graph, colouring)
     key, order, gens, leaves = _search(graph.n, graph.rows, cells, prune, graph, invariant)
     image = [0] * graph.n
@@ -312,8 +308,6 @@ def are_isomorphic(
     isomorphism.  Colourings with different cell-size sequences cannot be
     mapped onto each other, so the answer is False without a search.
     """
-    if g.n == 0 or h.n == 0:
-        raise ZeroVertexError("cannot test isomorphism of zero-vertex graphs")
     if g.n != h.n:
         return False
     g_cells = _cells_for(g, g_colouring)
@@ -347,8 +341,6 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     for index, item in enumerate(items):
         try:
             graph = item if isinstance(item, Graph) else codec.decode(item)
-            if graph.n == 0:
-                raise ZeroVertexError("zero-vertex graph")
             key = (graph.n, _canon_key(graph.n, graph.rows))
         except ValueError as exc:
             exc.args = (f"item {index}: {exc}",)

@@ -119,12 +119,7 @@ def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str], count_only
     graph_filter = filters.parse_filter_spec(args.filter)
     matched = 0
     for lineno, line in _graph_lines(stdin):
-        graph = _decode_line(lineno, line)
-        try:
-            keep = filters.evaluate(graph_filter, graph)
-        except ValueError as exc:
-            _fail(f"line {lineno}: {exc}")
-        if keep:
+        if filters.evaluate(graph_filter, _decode_line(lineno, line)):
             matched += 1
             if not count_only:
                 out.write(line + "\n")
@@ -148,7 +143,7 @@ def _cmd_repro(args: argparse.Namespace, out: IO[str]) -> int:
     name = args.experiment
     default_n, spec = COUNT_TABLES.get(name, (30, ""))
     max_n = args.max_n if args.max_n is not None else default_n
-    if max_n >= 1:
+    if max_n != 0:  # 0 prints the empty table
         core.check_vertex_count(max_n)  # before the rows for every smaller n
     if name in COUNT_TABLES:
         graph_filter = filters.parse_filter_spec(spec)

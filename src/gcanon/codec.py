@@ -6,13 +6,14 @@ the upper triangle of the adjacency matrix in column order (0,1), (0,2),
 upper-triangle bit-vector doubles as an integer sort key: the first pair is
 the most significant bit, so comparing keys compares encoded strings.
 
-Zero-vertex graphs are rejected in both directions, and Sparse6 streams that
-mention a loop or repeat an edge are errors rather than being simplified.
+Decoding checks the header's vertex count with ``check_vertex_count``, so a
+zero-vertex string fails as a zero-vertex ``Graph`` would; Sparse6 streams
+that mention a loop or repeat an edge are errors rather than being simplified.
 """
 
 from __future__ import annotations
 
-from .core import Graph, ZeroVertexError, check_vertex_count
+from .core import Graph, check_vertex_count
 
 
 class CodecError(ValueError):
@@ -103,17 +104,13 @@ def graph6_from_key(n: int, key: int) -> str:
 
 
 def encode_graph6(graph: Graph) -> str:
-    """The Graph6 string of a graph; rejects zero-vertex graphs."""
-    if graph.n == 0:
-        raise ZeroVertexError("cannot encode a zero-vertex graph")
+    """The Graph6 string of a graph."""
     return graph6_from_key(graph.n, key_from_rows(graph.rows, range(graph.n)))
 
 
 def encode_sparse6(graph: Graph) -> str:
-    """The Sparse6 string of a graph; rejects zero-vertex graphs."""
+    """The Sparse6 string of a graph."""
     n = graph.n
-    if n == 0:
-        raise ZeroVertexError("cannot encode a zero-vertex graph")
     k = max(1, (n - 1).bit_length())
     bits: list[int] = []
 

@@ -8,9 +8,10 @@ be shared across threads without coordination.
 The dense representation targets small graphs.  ``VERTEX_CAP`` (64) is a
 constant bound on the vertex count; anything larger is an error, not a
 fallback.  ``GCANON_VERTEX_CAP`` replaces it for one CLI ``main`` call, in
-that call's own context (``CAP_OVERRIDE``).  Every entry point that takes a
-count checks it with ``check_vertex_count``, so 0 is rejected with the same
-message everywhere.
+that call's own context (``CAP_OVERRIDE``).  ``Graph`` checks its vertex
+count with ``check_vertex_count`` when it is built, as does every entry point
+that takes a count, so no operation ever sees a zero-vertex graph and 0 is
+rejected with the same message everywhere.
 """
 
 from __future__ import annotations
@@ -25,26 +26,22 @@ CAP_OVERRIDE: ContextVar[int] = ContextVar("CAP_OVERRIDE")
 
 
 class ZeroVertexError(ValueError):
-    """Raised by operations that reject graphs with zero vertices."""
+    """Raised for a vertex count of zero: no graph has zero vertices."""
 
 
 class VertexCapError(ValueError):
     """Raised when a graph exceeds the configured vertex cap."""
 
 
-def _check_size(n: int) -> None:
+def check_vertex_count(n: int) -> None:
+    """Rejects a vertex count of 0, a negative one, or one above the cap in force."""
+    if n == 0:
+        raise ZeroVertexError("zero-vertex graphs are not supported")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     cap = CAP_OVERRIDE.get(VERTEX_CAP)
     if n > cap:
         raise VertexCapError(f"{n} vertices exceeds the cap of {cap}")
-
-
-def check_vertex_count(n: int) -> None:
-    """Rejects a vertex count of 0, a negative one, or one above the cap in force."""
-    if n == 0:
-        raise ZeroVertexError("zero-vertex graphs are not supported")
-    _check_size(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +52,7 @@ class Graph:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_size(self.n)
+        check_vertex_count(self.n)
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.n:
@@ -73,7 +70,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
-        _check_size(n)
+        check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -86,12 +83,12 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> Graph:
-        _check_size(n)
+        check_vertex_count(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
-        _check_size(n)
+        check_vertex_count(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -167,8 +164,6 @@ class Graph:
         (which no deletion disconnects); otherwise the smallest k such that
         deleting some k vertices leaves a disconnected graph.
         """
-        if self.n == 0:
-            raise ZeroVertexError("vertex connectivity of the zero-vertex graph is undefined")
         if self.component_count() != 1:
             return 0
         return _connectivity_at_most(self, self.n)
@@ -293,8 +288,7 @@ class Colouring:
     @classmethod
     def unit(cls, n: int) -> Colouring:
         """The single-cell colouring of 0..n-1."""
-        if n < 1:
-            raise ZeroVertexError("the unit colouring needs at least one vertex")
+        check_vertex_count(n)
         return cls((frozenset(range(n)),))
 
     @property

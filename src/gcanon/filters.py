@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import codec
-from .core import Graph, ZeroVertexError, _connectivity_at_most, bits
+from .core import Graph, _connectivity_at_most, bits
 
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
 INTEGER_PROPERTIES = frozenset(
@@ -87,8 +87,9 @@ class GraphFilter:
         constraints = tuple(self.constraints)
         object.__setattr__(self, "constraints", constraints)
         names = [c.name for c in constraints]
-        if len(names) != len(set(names)):
-            raise FilterSpecError("more than one constraint for the same property")
+        for name in names:
+            if names.count(name) > 1:
+                raise FilterSpecError(f"more than one constraint for {name}")
 
 
 def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
@@ -137,7 +138,7 @@ def _as_range(name: str, value: object) -> tuple[int, int]:
 
 def parse_filter_spec(text: str) -> GraphFilter:
     """Parse the CLI filter grammar; blank text accepts every graph."""
-    pairs: list[tuple[str, object]] = []
+    constraints = []
     for raw in text.split(","):
         item = raw.strip()
         if not item:
@@ -153,10 +154,8 @@ def parse_filter_spec(text: str) -> GraphFilter:
             name = name[1:].strip()
         if name not in PROPERTY_NAMES:
             raise FilterSpecError(f"unknown property in {item!r}")
-        pairs.append((name, _parse_value(item, value_text.strip())))
-        if negated:
-            pairs.append((f"Negate{name}", True))
-    return build_graph_filter(pairs)
+        constraints.append(PropertyConstraint(name, _parse_value(item, value_text.strip()), negated))
+    return GraphFilter(tuple(constraints))
 
 
 def _parse_value(item: str, text: str) -> bool | int | tuple[int, int]:
@@ -247,8 +246,6 @@ def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
 
 def evaluate(graph_filter: GraphFilter, graph: Graph) -> bool:
     """Whether the graph satisfies every constraint of the filter."""
-    if graph.n == 0:
-        raise ZeroVertexError("cannot evaluate filters on the zero-vertex graph")
     return all(_matches(c, graph) for c in graph_filter.constraints)
 
 

@@ -7,6 +7,7 @@ other side of dual-route checks.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import random
@@ -14,7 +15,23 @@ import subprocess
 import sys
 from typing import Iterator
 
+from gcanon.cli import main
 from gcanon.core import Graph, Permutation
+
+
+def run_cli(argv, stdin_text=""):
+    """Run ``main`` in process; returns (exit code, stdout)."""
+    return run_cli_lines(argv, io.StringIO(stdin_text))
+
+
+def run_cli_lines(argv, stdin):
+    out = io.StringIO()
+    code = 0
+    try:
+        code = main(argv, stdin=stdin, stdout=out)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+    return code, out.getvalue()
 
 
 def run_module_cli(args, stdin_text="", env_extra=None):

@@ -322,8 +322,8 @@ def test_remove_isomorphs_error_carries_index():
     with pytest.raises(codec.CodecError, match="item 1") as info:
         remove_isomorphs(["Dhc", "D c", "D~{"])
     assert info.value.offset == 1
-    with pytest.raises(ValueError, match="item 2"):
-        remove_isomorphs([Graph.path(2), Graph.path(3), Graph.empty(0)])
+    with pytest.raises(ZeroVertexError, match="^item 2: "):
+        remove_isomorphs([Graph.path(2), Graph.path(3), "?"])
 
 
 def test_zero_vertex_rejected_everywhere():

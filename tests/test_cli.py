@@ -1,27 +1,12 @@
-import io
 import itertools
 import random
 import threading
 
 import pytest
 
+from conftest import run_cli, run_cli_lines
 from gcanon import codec, core, generate
-from gcanon.cli import main
 from gcanon.core import Graph, Permutation, permute_graph
-
-
-def run_cli(argv, stdin_text=""):
-    return run_cli_lines(argv, io.StringIO(stdin_text))
-
-
-def run_cli_lines(argv, stdin):
-    out = io.StringIO()
-    code = 0
-    try:
-        code = main(argv, stdin=stdin, stdout=out)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-    return code, out.getvalue()
 
 
 def c5_relabellings():
@@ -251,9 +236,10 @@ def test_repro_max_n_above_cap_fails_before_generating(monkeypatch, capsys):
     monkeypatch.setattr(generate, "generate_graphs", must_not_run)
     monkeypatch.setattr(generate, "generate_random_graphs", must_not_run)
     for experiment in ("a000088", "er-connectivity"):
-        code, out = run_cli(["repro", experiment, "--max-n", "65"])
-        assert code == 2 and out == ""
-        assert "cap" in capsys.readouterr().err
+        for max_n, reason in (("65", "cap"), ("-1", "non-negative")):
+            code, out = run_cli(["repro", experiment, "--max-n", max_n])
+            assert code == 2 and out == ""
+            assert reason in capsys.readouterr().err
     assert run_cli(["repro", "a000088", "--max-n", "0"]) == (0, "()\n")
 
 
@@ -264,6 +250,11 @@ def test_zero_count_has_one_message_everywhere(capsys):
         lambda: generate.RandomModel(0, 1, 0.5),
         lambda: codec.decode("?"),
         lambda: codec.decode(":?"),
+        lambda: Graph(0, ()),
+        lambda: Graph.empty(0),
+        lambda: Graph.from_edges(0),
+        lambda: Graph.path(0),
+        lambda: core.Colouring.unit(0),
     ):
         with pytest.raises(core.ZeroVertexError, match=f"^{message}$"):
             call()

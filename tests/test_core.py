@@ -33,7 +33,8 @@ def test_graph_construction_and_validation():
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(VertexCapError):
         Graph.empty(65)
-    assert Graph.empty(0).n == 0
+    with pytest.raises(ZeroVertexError):
+        Graph.empty(0)
 
 
 def test_permutation_validation():
@@ -141,7 +142,6 @@ def test_basic_properties_on_c5_and_empty():
     empty = Graph.empty(4)
     assert empty.num_edges() == 0
     assert empty.component_count() == 4
-    assert Graph.empty(0).component_count() == 0
 
 
 def test_component_count_against_union_find():

@@ -62,7 +62,7 @@ def test_build_filter_errors():
 def test_constraint_validation():
     with pytest.raises(FilterSpecError):
         PropertyConstraint("Girth", (3, 1))
-    with pytest.raises(FilterSpecError):
+    with pytest.raises(FilterSpecError, match="^more than one constraint for NumEdges$"):
         GraphFilter((PropertyConstraint("NumEdges", 1), PropertyConstraint("NumEdges", (0, 2))))
 
 
@@ -347,8 +347,8 @@ def test_filter_graphs_error_carries_index():
     with pytest.raises(codec.CodecError, match="item 1") as info:
         filter_graphs(["Dhc", "D c"], ACCEPT_ALL)
     assert info.value.offset == 1
-    with pytest.raises(ValueError, match="item 0"):
-        filter_graphs([Graph.empty(0)], ACCEPT_ALL)
+    with pytest.raises(ZeroVertexError, match="^item 0: "):
+        filter_graphs(["?"], ACCEPT_ALL)
 
 
 def test_zero_vertex_evaluate():

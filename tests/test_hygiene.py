@@ -1,9 +1,13 @@
-"""Source checks that keep the package free of mutable module globals.
+"""Source checks that keep the package free of mutable module globals and
+keep the zero-vertex rule in one place.
 
 Every ``src/gcanon/*.py`` is parsed with ``ast``; a ``global`` statement, or
 an assignment (plain, augmented, annotated, ``del`` or ``setattr``) to an
 attribute of an imported module, fails the test.  Scoped state belongs in a
-``contextvars.ContextVar`` or an explicit parameter instead.
+``contextvars.ContextVar`` or an explicit parameter instead.  Outside
+``core.py``, a ``raise ZeroVertexError`` fails too: ``Graph`` and every count
+entry point reject 0 through ``core.check_vertex_count``, so no other module
+needs the rule.
 """
 
 from __future__ import annotations
@@ -63,6 +67,36 @@ def module_global_writes(source: str) -> list[str]:
         if isinstance(attr.value, ast.Name) and attr.value.id in modules:
             found.append(f"line {attr.lineno}: writes {attr.value.id}.{attr.attr}")
     return found
+
+
+def zero_vertex_raises(source: str) -> list[str]:
+    """Line-numbered ``raise`` statements in ``source`` that raise ``ZeroVertexError``."""
+    raises = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise) and node.exc]
+    found = []
+    for node in sorted(raises, key=lambda node: node.lineno):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if getattr(exc, "id", getattr(exc, "attr", None)) == "ZeroVertexError":
+            found.append(f"line {node.lineno}: raise {ast.unparse(exc)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_raises_zero_vertex_error(path):
+    assert zero_vertex_raises(path.read_text()) == []
+
+
+def test_zero_vertex_check_catches_every_form():
+    source = """
+from . import core
+from .core import ZeroVertexError
+
+def f(n):
+    if n == 0:
+        raise ZeroVertexError("zero")
+    raise core.ZeroVertexError
+    raise ValueError("zero")
+"""
+    assert zero_vertex_raises(source) == ["line 7: raise ZeroVertexError", "line 8: raise core.ZeroVertexError"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -5,9 +5,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import cartesian_product, complement, disjoint_union  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import re  # noqa: E402
+
+from conftest import cartesian_product, complement, disjoint_union, run_cli  # noqa: E402
 from gcanon.canon import canonical_label  # noqa: E402
-from gcanon.codec import CodecError, decode  # noqa: E402
+from gcanon.codec import CodecError, decode, encode_graph6, encode_sparse6  # noqa: E402
 from gcanon.core import Graph, Permutation, VertexCapError, ZeroVertexError, permute_graph  # noqa: E402
 
 # Graph6 bytes are 63..126; the rest probe the error paths.
@@ -67,3 +71,45 @@ def test_symmetric_families_canonical_under_relabelling(data):
     for graph, result in zip((g, h), results):
         for gen in result.automorphism_generators:
             assert permute_graph(graph, gen) == graph
+
+
+# Outside Graph6's 63..126; ':' would turn a Graph6 line into Sparse6, and a
+# CR or LF would end the line early.
+_BAD_BYTES = st.characters(max_codepoint=300).filter(lambda c: not 63 <= ord(c) <= 126 and c not in ":\r\n")
+
+
+@st.composite
+def corrupted_line(draw, graph):
+    """A text line that no longer decodes: a bad byte, a cut, an extra byte, or "?" (zero vertices)."""
+    kind = draw(st.sampled_from(["byte", "truncate", "trailing", "zero"]))
+    if kind == "zero":
+        return "?"
+    if kind == "byte":
+        line = draw(st.sampled_from([encode_graph6(graph), encode_sparse6(graph)]))
+        pos = draw(st.integers(0, len(line) - 1))
+        return line[:pos] + draw(_BAD_BYTES) + line[pos + 1 :]
+    # Graph6 has a fixed length for its n, so any cut or extra byte breaks it;
+    # a cut or extended Sparse6 edge stream may still decode.
+    line = encode_graph6(graph)
+    if kind == "truncate":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    return line + draw(st.characters(min_codepoint=63, max_codepoint=126))
+
+
+@hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+@hypothesis.given(st.data())
+def test_cli_bad_line_exits_2_with_its_line_number(data):
+    graphs = data.draw(st.lists(small_graphs(max_n=9), min_size=1, max_size=6))
+    k = data.draw(st.integers(1, len(graphs)))
+    lines = [data.draw(st.sampled_from([encode_graph6(g), encode_sparse6(g)])) for g in graphs]
+    lines[k - 1] = data.draw(corrupted_line(graphs[k - 1]))
+    stdin_text = "".join(line + "\n" for line in lines)
+    for command in ("label", "short", "count"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli([command], stdin_text)
+        assert code == 2
+        assert re.fullmatch(f"gcanon: line {k}: [^\n]+\n", err.getvalue())
+        if command == "label":
+            expected = [encode_graph6(canonical_label(g).canonical_graph) for g in graphs[: k - 1]]
+            assert out.splitlines() == expected
