@@ -78,7 +78,7 @@ def _decode_line(lineno: int, line: str) -> core.Graph:
         _fail(f"line {lineno}: {exc}")
 
 
-def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_gen(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     opts = generate.GenOptions(
         only_connected=args.connected,
         only_bipartite=args.bipartite,
@@ -90,7 +90,7 @@ def _cmd_gen(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def _cmd_rand(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_rand(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     model = generate.RandomModel(args.n, args.count, args.p, args.seed)
     for graph in generate.generate_random_graphs(model):
         out.write(codec.encode_graph6(graph) + "\n")
@@ -115,20 +115,20 @@ def _cmd_short(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     return 0
 
 
-def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str], count_only: bool) -> int:
+def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     graph_filter = filters.parse_filter_spec(args.filter)
     matched = 0
     for lineno, line in _graph_lines(stdin):
         if filters.evaluate(graph_filter, _decode_line(lineno, line)):
             matched += 1
-            if not count_only:
+            if args.command == "pick":
                 out.write(line + "\n")
-    if count_only:
+    if args.command == "count":
         out.write(f"{matched}\n")
     return 0
 
 
-def _cmd_iso(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     try:
         g = codec.decode(args.g6a)
         h = codec.decode(args.g6b)
@@ -139,7 +139,7 @@ def _cmd_iso(args: argparse.Namespace, out: IO[str]) -> int:
     return 0 if answer else 1
 
 
-def _cmd_repro(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_repro(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     name = args.experiment
     default_n, spec = COUNT_TABLES.get(name, (30, ""))
     max_n = args.max_n if args.max_n is not None else default_n
@@ -171,30 +171,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--min-edges", type=int, default=None, metavar="A")
     p.add_argument("--max-edges", type=int, default=None, metavar="B")
+    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("rand", help="sample random graphs with edge probability p")
     p.add_argument("n", type=int)
     p.add_argument("count", type=int)
     p.add_argument("p", type=float)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=_cmd_rand)
 
-    sub.add_parser("label", help="replace each stdin graph by its canonical Graph6")
-    sub.add_parser("short", help="drop isomorphic duplicates from stdin, keeping first occurrences")
+    p = sub.add_parser("label", help="replace each stdin graph by its canonical Graph6")
+    p.set_defaults(handler=_cmd_label)
+    p = sub.add_parser("short", help="drop isomorphic duplicates from stdin, keeping first occurrences")
+    p.set_defaults(handler=_cmd_short)
 
-    p = sub.add_parser("pick", help="write stdin graphs matching the filter")
-    p.add_argument("--filter", default="", metavar="SPEC")
-    p = sub.add_parser("count", help="count stdin graphs matching the filter")
-    p.add_argument("--filter", default="", metavar="SPEC")
+    for name, verb in (("pick", "write"), ("count", "count")):
+        p = sub.add_parser(name, help=f"{verb} stdin graphs matching the filter")
+        p.add_argument("--filter", default="", metavar="SPEC")
+        p.set_defaults(handler=_cmd_pick)
 
     p = sub.add_parser("iso", help="test two graph strings for isomorphism")
     p.add_argument("g6a")
     p.add_argument("g6b")
+    p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("repro", help="reprint a reference table")
     p.add_argument("experiment", choices=[*COUNT_TABLES, "er-connectivity"])
     p.add_argument("--max-n", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
+    p.set_defaults(handler=_cmd_repro)
     return parser
 
 
@@ -222,21 +228,7 @@ def _main(argv: list[str] | None, stdin: IO[str] | None, stdout: IO[str] | None)
         args = _build_parser().parse_args(argv)
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
-        if args.command == "gen":
-            return _cmd_gen(args, stdout)
-        if args.command == "rand":
-            return _cmd_rand(args, stdout)
-        if args.command == "label":
-            return _cmd_label(args, stdin, stdout)
-        if args.command == "short":
-            return _cmd_short(args, stdin, stdout)
-        if args.command == "pick":
-            return _cmd_pick(args, stdin, stdout, count_only=False)
-        if args.command == "count":
-            return _cmd_pick(args, stdin, stdout, count_only=True)
-        if args.command == "iso":
-            return _cmd_iso(args, stdout)
-        return _cmd_repro(args, stdout)
+        return args.handler(args, stdin, stdout)
     except BrokenPipeError:
         return 0
     except ValueError as exc:

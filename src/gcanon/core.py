@@ -164,69 +164,75 @@ class Graph:
         (which no deletion disconnects); otherwise the smallest k such that
         deleting some k vertices leaves a disconnected graph.
         """
-        if self.component_count() != 1:
-            return 0
-        return _connectivity_at_most(self, self.n)
-
-    def _local_connectivity(self, s: int, t: int, limit: int) -> int:
-        # Max internally vertex-disjoint s-t paths: unit-capacity max flow on
-        # the split digraph (v_in = 2v, v_out = 2v+1), capped at `limit`.
-        n = self.n
-        res: list[dict[int, int]] = [{} for _ in range(2 * n)]
-        for v in range(n):
-            res[2 * v][2 * v + 1] = 1
-            res[2 * v + 1][2 * v] = 0
-        for u, v in self.edges():
-            res[2 * u + 1][2 * v] = 1
-            res[2 * v][2 * u + 1] = 0
-            res[2 * v + 1][2 * u] = 1
-            res[2 * u][2 * v + 1] = 0
-        source, sink = 2 * s + 1, 2 * t
-        flow = 0
-        while flow < limit:
-            prev = {source: source}
-            queue = deque([source])
-            while queue and sink not in prev:
-                x = queue.popleft()
-                for y, cap in res[x].items():
-                    if cap > 0 and y not in prev:
-                        prev[y] = x
-                        queue.append(y)
-            if sink not in prev:
-                break
-            y = sink
-            while y != source:
-                x = prev[y]
-                res[x][y] -= 1
-                res[y][x] += 1
-                y = x
-            flow += 1
-        return flow
+        return connectivity_at_most(self, self.n)
 
 
-def _connectivity_at_most(graph: Graph, cap: int) -> int:
-    """min(vertex connectivity, cap) of a connected graph.
+def connectivity_at_most(graph: Graph, cap: int) -> int:
+    """min(vertex connectivity, cap) for any graph and any integer cap.
 
-    kappa is the minimum, over non-adjacent pairs (s, t), of the number of
-    internally disjoint s-t paths (Menger), and n - 1 for the complete graph.
-    Three rules keep the flows down (Even, SIAM J. Comput. 4, 1975):
+    kappa is 0 for a disconnected graph and n - 1 for the complete graph;
+    otherwise it is the minimum, over non-adjacent pairs (s, t), of the
+    number of internally disjoint s-t paths (Menger).  Four rules keep the
+    flows down (Even, SIAM J. Comput. 4, 1975):
 
     - the running bound starts at ``cap``: a caller that only asks whether
       kappa <= hi passes hi + 1, and every flow stops at the bound;
     - it also starts at the minimum degree, since deleting the neighbours of
       a minimum-degree vertex isolates it (for the complete graph this gives
       n - 1, otherwise it is at most n - 2);
+    - a connected graph on n >= 2 vertices has kappa >= 1, so a bound of at
+      most 1 is already the answer and no flow runs;
     - a pair with at least ``best`` common neighbours is skipped, since the
       paths s-c-t already give kappa(s, t) >= best, so its flow cannot lower
       the bound.
     """
+    if not graph.is_connected():
+        return min(0, cap)
     rows = graph.rows
     best = min(min(row.bit_count() for row in rows), cap)
+    if best <= 1:
+        return best
     for s in range(graph.n):
         for t in range(s + 1, graph.n):
             if not graph.has_edge(s, t) and (rows[s] & rows[t]).bit_count() < best:
-                best = min(best, graph._local_connectivity(s, t, best))
+                best = min(best, _local_connectivity(graph, s, t, best))
     return best
+
+
+def _local_connectivity(graph: Graph, s: int, t: int, limit: int) -> int:
+    # Max internally vertex-disjoint s-t paths: unit-capacity max flow on
+    # the split digraph (v_in = 2v, v_out = 2v+1), capped at `limit`.
+    n = graph.n
+    res: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for v in range(n):
+        res[2 * v][2 * v + 1] = 1
+        res[2 * v + 1][2 * v] = 0
+    for u, v in graph.edges():
+        res[2 * u + 1][2 * v] = 1
+        res[2 * v][2 * u + 1] = 0
+        res[2 * v + 1][2 * u] = 1
+        res[2 * u][2 * v + 1] = 0
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < limit:
+        prev = {source: source}
+        queue = deque([source])
+        while queue and sink not in prev:
+            x = queue.popleft()
+            for y, cap in res[x].items():
+                if cap > 0 and y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        if sink not in prev:
+            break
+        y = sink
+        while y != source:
+            x = prev[y]
+            res[x][y] -= 1
+            res[y][x] += 1
+            y = x
+        flow += 1
+    return flow
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,14 +6,9 @@ follows the deletion-based convention: value 0 means disconnected, and a
 positive k means the graph is connected and some k vertices (but no k-1)
 disconnect it.  The single-vertex graph is connected and therefore matches
 no Connectivity value at all, even though its vertex connectivity is 0 by
-the complete-graph convention.
-
-A ``Connectivity=lo..hi`` clause on a connected graph computes
-min(kappa, hi + 1), which lies in [lo, hi] exactly when kappa does.  The
-helper behind it starts its bound at min(minimum degree, hi + 1), as kappa
-never exceeds the minimum degree, and skips every non-adjacent pair whose
-common neighbours already reach the bound, as those give that many disjoint
-paths; so no flow runs whose answer cannot change the verdict.
+the complete-graph convention.  A ``Connectivity=lo..hi`` clause asks
+``core.connectivity_at_most`` for min(kappa, hi + 1), which lies in
+[lo, hi] exactly when kappa does.
 
 The accompanying text grammar (used by the CLI) is a comma-separated list of
 ``Name=value`` items, where value is an integer, an inclusive range
@@ -28,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import codec
-from .core import Graph, _connectivity_at_most, bits
+from .core import Graph, bits, connectivity_at_most
 
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
 INTEGER_PROPERTIES = frozenset(
@@ -200,22 +195,8 @@ def girth(graph: Graph) -> int | None:
     return best
 
 
-def _connectivity_matches(graph: Graph, lo: int, hi: int) -> bool:
-    # 0-connected means disconnected; k-connected (k > 0) means some k
-    # deletions, but no k-1, disconnect the graph.  The one-vertex graph is
-    # connected and cannot be disconnected, so it matches no value, even
-    # though vertex_connectivity() gives it 0 by the complete-graph rule.
-    if not graph.is_connected():
-        return lo <= 0 <= hi
-    if graph.n == 1:
-        return False
-    if hi < 1:
-        return False  # connected graphs on n >= 2 vertices have connectivity >= 1
-    # min(kappa, hi + 1) decides lo <= kappa <= hi; flows never go past it.
-    return lo <= _connectivity_at_most(graph, hi + 1) <= hi
-
-
-# Plain property values; Connectivity and Girth are matched separately.
+# Property values; None (a forest's girth) matches no value.  Connectivity
+# depends on the clause's bounds, so _matches computes it.
 _PROPERTY_VALUES = {
     "Bipartite": Graph.is_bipartite,
     "Regular": lambda graph: len({row.bit_count() for row in graph.rows}) == 1,
@@ -225,6 +206,7 @@ _PROPERTY_VALUES = {
     "MinDegree": lambda graph: graph.degree_sequence()[0],
     "MaxDegree": lambda graph: graph.degree_sequence()[-1],
     "NumCycles": Graph.circuit_rank,
+    "Girth": girth,
 }
 
 
@@ -235,12 +217,11 @@ def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
     else:
         lo, hi = constraint.bounds()
         if name == "Connectivity":
-            result = _connectivity_matches(graph, lo, hi)
-        elif name == "Girth":
-            g = girth(graph)
-            result = g is not None and lo <= g <= hi
+            # min(kappa, hi + 1) decides lo <= kappa <= hi; K1 matches no value
+            value = connectivity_at_most(graph, hi + 1) if graph.n > 1 else None
         else:
-            result = lo <= _PROPERTY_VALUES[name](graph) <= hi
+            value = _PROPERTY_VALUES[name](graph)
+        result = value is not None and lo <= value <= hi
     return result != constraint.negate
 
 

@@ -13,6 +13,7 @@ from gcanon.core import (
     VertexCapError,
     ZeroVertexError,
     check_vertex_count,
+    connectivity_at_most,
     is_colour_preserving,
     normalize_colouring,
     permute_colouring,
@@ -229,13 +230,19 @@ def test_vertex_connectivity_basics():
 
 
 def test_vertex_connectivity_matches_brute_force_small():
-    for n in range(1, 5):
-        for g in all_labelled_graphs(n):
-            assert g.vertex_connectivity() == brute_force_connectivity(g)
+    # every labelled graph with n <= 4 (K1, K2 and the small disconnected
+    # graphs among them), random n = 5, 6, paths, and larger disconnected graphs
+    graphs = [g for n in range(1, 5) for g in all_labelled_graphs(n)]
     rng = random.Random(10)
-    for _ in range(150):
-        g = random_graph(rng, rng.choice([5, 6]), rng.random())
-        assert g.vertex_connectivity() == brute_force_connectivity(g)
+    graphs += [random_graph(rng, rng.choice([5, 6]), rng.random()) for _ in range(150)]
+    graphs += [Graph.path(n) for n in range(5, 8)]
+    graphs += [Graph.empty(5), Graph.from_edges(6, C5_EDGES)]
+    graphs += [Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])]
+    for g in graphs:
+        kappa = brute_force_connectivity(g)
+        assert g.vertex_connectivity() == kappa, g
+        for cap in range(-1, g.n + 2):
+            assert connectivity_at_most(g, cap) == min(kappa, cap), (g, cap)
 
 
 def test_vertex_cap_is_configurable(monkeypatch):

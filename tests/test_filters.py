@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from conftest import random_graph, to_networkx
-from gcanon import codec
-from gcanon.core import Graph, ZeroVertexError
+from gcanon import codec, core
+from gcanon.core import Graph, ZeroVertexError, connectivity_at_most
 from gcanon.filters import (
     FilterSpecError,
     GraphFilter,
@@ -225,12 +225,32 @@ def test_connectivity_common_neighbour_witness_k55(monkeypatch):
     def no_flow(*args):
         raise AssertionError("flow on a pair with enough common neighbours")
 
-    monkeypatch.setattr(Graph, "_local_connectivity", no_flow)
+    monkeypatch.setattr(core, "_local_connectivity", no_flow)
     k55 = complete_bipartite(5, 5)
     assert k55.vertex_connectivity() == 5
     assert evaluate(parse_filter_spec("Connectivity=5"), k55)
     assert not evaluate(parse_filter_spec("Connectivity=2..4"), k55)
     assert not evaluate(parse_filter_spec("Connectivity=6..9"), k55)
+
+
+def test_connectivity_at_most_one_runs_no_flow(monkeypatch):
+    # a connected graph on n >= 2 vertices has kappa >= 1, so minimum degree 1,
+    # or a bound of at most 1, settles it without a flow
+    def no_flow(*args):
+        raise AssertionError("flow where the bound is already at most 1")
+
+    monkeypatch.setattr(core, "_local_connectivity", no_flow)
+    rng = random.Random(44)
+    star = Graph.from_edges(10, [(0, v) for v in range(1, 10)])
+    tree = Graph.from_edges(12, [(v, rng.randrange(v)) for v in range(1, 12)])
+    c5_pendant = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5)])
+    for g in (Graph.path(10), star, tree, c5_pendant):
+        assert g.vertex_connectivity() == 1, g
+        assert evaluate(parse_filter_spec("Connectivity=1"), g)
+        assert not evaluate(parse_filter_spec("Connectivity=0"), g)
+        assert evaluate(parse_filter_spec("!Connectivity=0"), g)
+        assert not evaluate(parse_filter_spec("Connectivity=-3..-1"), g)
+    assert evaluate(parse_filter_spec("!Connectivity=0"), Graph.cycle(5))  # a bound of 1 needs no flow
 
 
 def _ranges_around(k: int) -> list[tuple[int, int]]:
@@ -252,6 +272,8 @@ def test_connectivity_matches_networkx():
         for lo, hi in _ranges_around(kappa):
             spec = build_graph_filter([("Connectivity", (lo, hi))])
             assert evaluate(spec, g) == (lo <= kappa <= hi), (g, lo, hi)
+        for cap in range(-1, g.n + 2):
+            assert connectivity_at_most(g, cap) == min(kappa, cap), (g, cap)
 
 
 def test_girth_components_and_bipartition_match_networkx():

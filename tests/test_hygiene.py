@@ -7,7 +7,9 @@ attribute of an imported module, fails the test.  Scoped state belongs in a
 ``contextvars.ContextVar`` or an explicit parameter instead.  Outside
 ``core.py``, a ``raise ZeroVertexError`` fails too: ``Graph`` and every count
 entry point reject 0 through ``core.check_vertex_count``, so no other module
-needs the rule.
+needs the rule.  So does importing an underscore name from ``.core``: the
+rules that ``core`` keeps private (such as the connectivity flow) are reached
+through its public functions only.
 """
 
 from __future__ import annotations
@@ -97,6 +99,33 @@ def f(n):
     raise ValueError("zero")
 """
     assert zero_vertex_raises(source) == ["line 7: raise ZeroVertexError", "line 8: raise core.ZeroVertexError"]
+
+
+def private_core_imports(source: str) -> list[str]:
+    """Line-numbered underscore names that ``source`` imports from ``.core``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core":
+            found += [(alias.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_uses_private_core_names(path):
+    assert private_core_imports(path.read_text()) == []
+
+
+def test_private_core_import_check_catches_every_name():
+    source = """
+from . import core
+from .core import Graph, _connectivity_at_most, bits
+from .canon import _canon_key
+from .core import (
+    _local_connectivity as flow,
+    check_vertex_count,
+)
+"""
+    assert private_core_imports(source) == ["line 3: _connectivity_at_most", "line 6: _local_connectivity"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
