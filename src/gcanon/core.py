@@ -12,6 +12,11 @@ that call's own context (``CAP_OVERRIDE``).  ``Graph`` checks its vertex
 count with ``check_vertex_count`` when it is built, as does every entry point
 that takes a count, so no operation ever sees a zero-vertex graph and 0 is
 rejected with the same message everywhere.
+
+Every breadth-first walk of a graph is ``_layers``, which returns the
+distance layers from a root as bitmasks: ``component_masks``,
+``bipartition_masks`` and ``girth`` read their answers off those layers.
+(The connectivity flow searches its own residual digraph instead.)
 """
 
 from __future__ import annotations
@@ -136,7 +141,8 @@ class Graph:
         return len(component_masks(self.n, self.rows))
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        full = (1 << self.n) - 1
+        return sum(_layers(self.rows, 1, full)) == full
 
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
         """A proper two-colouring as a pair of vertex sets, or None if an odd cycle exists."""
@@ -352,25 +358,29 @@ def normalize_colouring(colouring: Colouring) -> Colouring:
     return Colouring(tuple(cells))
 
 
+def _layers(rows: Sequence[int], root: int, within: int) -> list[int]:
+    """Breadth-first layers, as bitmasks, from the one-bit mask root in the subgraph on within."""
+    frontier = root
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        within ^= frontier
+        nbrs = 0
+        while frontier:
+            b = frontier & -frontier
+            nbrs |= rows[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nbrs & within
+    return layers
+
+
 def component_masks(n: int, rows: Sequence[int]) -> list[int]:
     """Connected components as vertex bitmasks, ordered by smallest member."""
-    full = (1 << n) - 1
-    seen = 0
+    unseen = (1 << n) - 1
     comps = []
-    while seen != full:
-        unseen = ~seen & full
-        frontier = unseen & -unseen
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & ~comp
-        seen |= comp
+    while unseen:
+        comp = sum(_layers(rows, unseen & -unseen, unseen))
+        unseen ^= comp
         comps.append(comp)
     return comps
 
@@ -378,38 +388,56 @@ def component_masks(n: int, rows: Sequence[int]) -> list[int]:
 def bipartition_masks(n: int, rows: Sequence[int]) -> list[tuple[int, int]] | None:
     """Per-component (side_a, side_b) bitmask pairs, or None if not bipartite.
 
-    Each component's smallest vertex lands in side_a, so the result is
-    deterministic.
+    Even layers from a component's smallest vertex form side_a, so the result
+    is deterministic; an edge inside a layer closes an odd cycle.
     """
+    unseen = (1 << n) - 1
     sides = []
-    for comp in component_masks(n, rows):
-        start = comp & -comp
-        side_a = start
-        side_b = 0
-        frontier = start
-        frontier_in_a = True
-        while frontier:
-            nbrs = 0
-            m = frontier
+    while unseen:
+        layers = _layers(rows, unseen & -unseen, unseen)
+        for layer in layers:
+            m = layer
             while m:
-                bit = m & -m
-                nbrs |= rows[bit.bit_length() - 1]
-                m ^= bit
-            nbrs &= comp
-            if frontier_in_a:
-                if nbrs & side_a:
+                b = m & -m
+                if rows[b.bit_length() - 1] & layer:
                     return None
-                new = nbrs & ~side_b
-                side_b |= new
-            else:
-                if nbrs & side_b:
-                    return None
-                new = nbrs & ~side_a
-                side_a |= new
-            frontier = new
-            frontier_in_a = not frontier_in_a
-        sides.append((side_a, side_b))
+                m ^= b
+        comp = sum(layers)
+        side_a = sum(layers[::2])
+        unseen ^= comp
+        sides.append((side_a, comp ^ side_a))
     return sides
+
+
+def girth(graph: Graph) -> int | None:
+    """Length of a shortest cycle, or None for forests.
+
+    Root r walks the subgraph on the vertices >= r, which holds every cycle
+    whose smallest vertex is r.  At depth d a vertex with two neighbours in
+    the layer above bounds the girth by 2d, and an edge inside the layer by
+    2d + 1; from the smallest vertex of a shortest cycle one bound is exact.
+    """
+    rows = graph.rows
+    best: int | None = None
+    for root in range(graph.n):
+        if best == 3:  # no cycle is shorter
+            break
+        layers = _layers(rows, 1 << root, (1 << graph.n) - (1 << root))
+        for d, (above, layer) in enumerate(zip(layers, layers[1:]), 1):
+            if best is not None and best <= 2 * d:
+                break
+            m = layer
+            while m:
+                b = m & -m
+                row = rows[b.bit_length() - 1]
+                up = row & above
+                if up & (up - 1):
+                    best = 2 * d
+                    break  # the least bound at this depth
+                if row & layer:
+                    best = 2 * d + 1
+                m ^= b
+    return best
 
 
 def bits(mask: int) -> Iterator[int]:

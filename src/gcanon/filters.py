@@ -1,12 +1,14 @@
-"""Property-constraint filters over graphs.
+"""Property-constraint filters over graphs: the clause language only.
 
-A filter is a conjunction of constraints, each naming a property, a value
-(bool, int, or inclusive range), and an optional negation.  Connectivity
-follows the deletion-based convention: value 0 means disconnected, and a
-positive k means the graph is connected and some k vertices (but no k-1)
-disconnect it.  The single-vertex graph is connected and therefore matches
-no Connectivity value at all, even though its vertex connectivity is 0 by
-the complete-graph convention.  A ``Connectivity=lo..hi`` clause asks
+Every property value comes from ``core``, which owns the graph algorithms;
+this module walks no graph itself.  A filter is a conjunction of
+constraints, each naming a property, a value (bool, int, or inclusive
+range), and an optional negation.  Connectivity follows the deletion-based
+convention: value 0 means disconnected, and a positive k means the graph is
+connected and some k vertices (but no k-1) disconnect it.  The
+single-vertex graph is connected and therefore matches no Connectivity
+value at all, even though its vertex connectivity is 0 by the
+complete-graph convention.  A ``Connectivity=lo..hi`` clause asks
 ``core.connectivity_at_most`` for min(kappa, hi + 1), which lies in
 [lo, hi] exactly when kappa does.
 
@@ -18,12 +20,11 @@ constraint: ``NumCycles=0,!Connectivity=0`` keeps exactly the trees.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import codec
-from .core import Graph, bits, connectivity_at_most
+from .core import Graph, connectivity_at_most, girth
 
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
 INTEGER_PROPERTIES = frozenset(
@@ -91,7 +92,8 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
     """Build a filter from (key, value) pairs.
 
     Keys are property names or ``Negate<name>``; a negate key needs its base
-    key present and a boolean value.
+    key present and a boolean value.  A list value is read as a (lo, hi)
+    range, and ``PropertyConstraint`` checks every value.
     """
     values: dict[str, object] = {}
     negates: dict[str, bool] = {}
@@ -113,22 +115,10 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
         if base not in values:
             raise FilterSpecError(f"Negate{base} without a {base} constraint")
     constraints = tuple(
-        PropertyConstraint(
-            name,
-            value if isinstance(value, (bool, int)) else _as_range(name, value),
-            negates.get(name, False),
-        )
+        PropertyConstraint(name, tuple(value) if isinstance(value, list) else value, negates.get(name, False))
         for name, value in values.items()
     )
     return GraphFilter(constraints)
-
-
-def _as_range(name: str, value: object) -> tuple[int, int]:
-    if isinstance(value, Sequence) and len(value) == 2:
-        lo, hi = value
-        if all(isinstance(b, int) and not isinstance(b, bool) for b in (lo, hi)):
-            return int(lo), int(hi)
-    raise FilterSpecError(f"{name} takes an integer or range, got {value!r}")
 
 
 def parse_filter_spec(text: str) -> GraphFilter:
@@ -166,33 +156,6 @@ def _parse_value(item: str, text: str) -> bool | int | tuple[int, int]:
         return int(text)
     except ValueError:
         raise FilterSpecError(f"bad value in {item!r}") from None
-
-
-def girth(graph: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests.
-
-    Breadth-first search from every vertex; each non-tree edge bounds the
-    girth by dist(u) + dist(w) + 1, and the minimum over all roots is exact.
-    """
-    best: int | None = None
-    for root in range(graph.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                continue
-            for w in bits(graph.rows[u]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    length = dist[u] + dist[w] + 1
-                    if best is None or length < best:
-                        best = length
-    return best
 
 
 # Property values; None (a forest's girth) matches no value.  Connectivity

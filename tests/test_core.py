@@ -32,6 +32,14 @@ def test_graph_construction_and_validation():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric
+    with pytest.raises(ValueError, match="^expected 3 adjacency rows, got 2$"):
+        Graph(3, (0, 0))
+    with pytest.raises(ValueError, match=r"^row 0 has neighbour bits outside 0\.\.1$"):
+        Graph(2, (4, 0))
+    with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
+        Graph(2, (1, 0))
+    with pytest.raises(ValueError, match="^a cycle needs at least 3 vertices$"):
+        Graph.cycle(2)
     with pytest.raises(VertexCapError):
         Graph.empty(65)
     with pytest.raises(ZeroVertexError):
@@ -44,6 +52,8 @@ def test_permutation_validation():
     p = Permutation((1, 2, 0))
     assert p.inverse().image == (2, 0, 1)
     assert p.compose(p.inverse()).image == (0, 1, 2)
+    with pytest.raises(ValueError, match="^cannot compose permutations of different sizes$"):
+        p.compose(Permutation.identity(4))
 
 
 def test_colouring_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_graph, to_networkx
 from gcanon import codec, core
-from gcanon.core import Graph, ZeroVertexError, connectivity_at_most
+from gcanon.core import Graph, Permutation, ZeroVertexError, connectivity_at_most, permute_graph
 from gcanon.filters import (
     FilterSpecError,
     GraphFilter,
@@ -57,11 +57,22 @@ def test_build_filter_errors():
         build_graph_filter([("NumEdges", (4, 2))])
     with pytest.raises(FilterSpecError):
         build_graph_filter([("NegateConnectivity", 1), ("Connectivity", 0)])
+    with pytest.raises(FilterSpecError, match="^duplicate key 'NegateGirth'$"):
+        build_graph_filter([("Girth", 3), ("NegateGirth", True), ("NegateGirth", False)])
+    with pytest.raises(FilterSpecError, match="^NumEdges takes an integer or range, got 'ab'$"):
+        build_graph_filter([("NumEdges", "ab")])
+    with pytest.raises(FilterSpecError, match=r"^NumEdges takes an integer or range, got range\(4, 6\)$"):
+        build_graph_filter([("NumEdges", range(4, 6))])
+    assert build_graph_filter([("NumEdges", [4, 6])]) == build_graph_filter([("NumEdges", (4, 6))])
 
 
 def test_constraint_validation():
     with pytest.raises(FilterSpecError):
         PropertyConstraint("Girth", (3, 1))
+    with pytest.raises(FilterSpecError, match="^unknown property 'Foo'$"):
+        PropertyConstraint("Foo", 1)
+    with pytest.raises(FilterSpecError, match=r"^NumEdges takes an integer or range, got 2\.5$"):
+        PropertyConstraint("NumEdges", 2.5)
     with pytest.raises(FilterSpecError, match="^more than one constraint for NumEdges$"):
         GraphFilter((PropertyConstraint("NumEdges", 1), PropertyConstraint("NumEdges", (0, 2))))
 
@@ -287,21 +298,42 @@ def test_girth_components_and_bipartition_match_networkx():
         across = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
         graphs.append(Graph.from_edges(n, [e for e in across if rng.random() < 0.2]))
         graphs.append(Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)]))  # a tree
+    for n in range(8, 65, 4):  # planted bipartite at p = 0.5: many even cycles
+        side = [rng.random() < 0.5 for _ in range(n)]
+        across = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+        graphs.append(Graph.from_edges(n, [e for e in across if rng.random() < 0.5]))
+    # even girth, where a vertex meets two paths from the layer above, and odd
+    # girth, where an edge lies inside a layer, with the shortest cycle away from 0
+    grid = Graph.from_edges(64, [(v, v + 1) for v in range(64) if v % 8 < 7] + [(v, v + 8) for v in range(56)])
+    ring = [(v, (v + 1) % 14) for v in range(14)]
+    heawood = Graph.from_edges(14, ring + [(v, (v + 5) % 14) for v in range(0, 14, 2)])
+    graphs += [hypercube(4), hypercube(5), hypercube(6), grid, heawood, complete_bipartite(3, 3)]
+    graphs += [Graph.cycle(n) for n in range(3, 65)]
+    c5_c4 = [(v, (v + 1) % 5) for v in range(5)] + [(5 + v, 5 + (v + 1) % 4) for v in range(4)]
+    graphs.append(permute_graph(Graph.from_edges(9, c5_c4), Permutation(tuple(rng.sample(range(9), 9)))))
+    # C4 and C5 through 0: at depth 2 from 0, vertex 2 closes the C4 before the edge 5-6 closes the C5
+    graphs.append(Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 0)]))
     for g in graphs:
         h = to_networkx(g)
         expected_girth = nx.girth(h)
         assert girth(g) == (None if expected_girth == float("inf") else expected_girth), g
         assert g.component_count() == nx.number_connected_components(h), g
+        comps = core.component_masks(g.n, g.rows)
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)  # ordered by smallest member
         sides = g.bipartition()
         assert (sides is not None) == nx.is_bipartite(h), g
         if sides is not None:
             a, b = sides
             assert a | b == set(range(g.n)) and not a & b
             assert all((u in a) != (v in a) for u, v in g.edges())
+            side_masks = core.bipartition_masks(g.n, g.rows)
+            assert [a | b for a, b in side_masks] == comps
+            assert all(comp & -comp & a for (a, _), comp in zip(side_masks, comps))  # smallest vertex in side_a
     # the sample reaches every case the oracles distinguish
     assert any(girth(g) is None and g.component_count() > 1 for g in graphs)
     assert any(g.bipartition() is None for g in graphs)
     assert any(g.bipartition() is not None and girth(g) is not None for g in graphs)
+    assert [girth(g) for g in (heawood, grid, hypercube(6), graphs[-2], graphs[-1])] == [6, 4, 4, 4, 4]
 
 
 def test_negate_flips_single_clause():

@@ -7,9 +7,10 @@ attribute of an imported module, fails the test.  Scoped state belongs in a
 ``contextvars.ContextVar`` or an explicit parameter instead.  Outside
 ``core.py``, a ``raise ZeroVertexError`` fails too: ``Graph`` and every count
 entry point reject 0 through ``core.check_vertex_count``, so no other module
-needs the rule.  So does importing an underscore name from ``.core``: the
-rules that ``core`` keeps private (such as the connectivity flow) are reached
-through its public functions only.
+needs the rule.  So does importing an underscore name from ``.core``, or
+reading one as an attribute of the ``core`` module: the rules that ``core``
+keeps private (such as the connectivity flow and the breadth-first walk) are
+reached through its public functions only.
 """
 
 from __future__ import annotations
@@ -102,11 +103,23 @@ def f(n):
 
 
 def private_core_imports(source: str) -> list[str]:
-    """Line-numbered underscore names that ``source`` imports from ``.core``."""
+    """Line-numbered underscore names that ``source`` takes from ``core``.
+
+    Both forms count: ``from .core import _x``, and ``core._x`` read through
+    any name that ``from . import core`` (or ``... as alias``) binds.
+    """
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    aliases = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core":
             found += [(alias.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            aliases.update(alias.asname or alias.name for alias in node.names if alias.name == "core")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
     return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
 
 
@@ -124,8 +137,17 @@ from .core import (
     _local_connectivity as flow,
     check_vertex_count,
 )
+from . import canon, core as c
+
+layers = core._layers(rows, 1, 1)
+flows = c._local_connectivity, canon._search, core.component_masks, core.__name__
 """
-    assert private_core_imports(source) == ["line 3: _connectivity_at_most", "line 6: _local_connectivity"]
+    assert private_core_imports(source) == [
+        "line 3: _connectivity_at_most",
+        "line 6: _local_connectivity",
+        "line 11: core._layers",
+        "line 12: c._local_connectivity",
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
