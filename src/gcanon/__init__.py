@@ -15,6 +15,7 @@ from .core import (
     Permutation,
     VertexCapError,
     ZeroVertexError,
+    girth,
     is_colour_preserving,
     normalize_colouring,
     permute_colouring,
@@ -27,7 +28,6 @@ from .filters import (
     build_graph_filter,
     evaluate,
     filter_graphs,
-    girth,
     parse_filter_spec,
 )
 from .generate import GenOptions, RandomModel, generate_graphs, generate_random_graphs

@@ -22,6 +22,14 @@ visited.  The kept automorphisms generate the whole colour-preserving
 automorphism group (McKay, *Practical graph isomorphism*, 1981; McKay &
 Piperno, J. Symb. Comput. 60, 2014).
 
+``search`` is the one entry point that walks this tree; every caller reads
+its result by field name from the record ``_Search``:
+
+- ``key``: the canonical upper-triangle bit-vector (see ``codec``);
+- ``order``: the vertices in canonical position order (the best leaf);
+- ``generators``: the kept automorphisms, as image tuples;
+- ``leaves``: the number of leaves visited.
+
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
 seeded with the cells left to right, a splitting cell is replaced in place by
 its fragments in ascending neighbour-count order, and new fragments join the
@@ -34,7 +42,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import codec
 from .core import Colouring, Graph, Permutation
@@ -52,6 +61,13 @@ class CanonResult:
     leaf_count: int
 
 
+class _Search(NamedTuple):  # fields described in the module docstring
+    key: int
+    order: list[int]
+    generators: list[tuple[int, ...]]
+    leaves: int
+
+
 def _mask(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -63,13 +79,12 @@ def _refine(
     rows: Sequence[int],
     cells: list[list[int]],
     alpha: deque[int],
-    graph: Graph | None = None,
-    invariant: Invariant | None = None,
+    invariant: Callable[[Colouring, int], object] | None = None,
 ) -> None:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds splitter masks still to be processed; an invariant adds the
-    invariant round described in the module docstring.
+    alpha holds splitter masks still to be processed; a bound invariant adds
+    the invariant round described in the module docstring.
     """
     bc = int.bit_count
     while alpha:
@@ -108,11 +123,11 @@ def _refine(
             continue
         keyed: dict[object, list[int]] = {}
         for v in cell:
-            keyed.setdefault(invariant(graph, colouring, v), []).append(v)
+            keyed.setdefault(invariant(colouring, v), []).append(v)
         split.extend(keyed[key] for key in sorted(keyed))
     if len(split) > len(cells):
         cells[:] = split
-        _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
+        _refine(rows, cells, deque(map(_mask, cells)), invariant)
 
 
 def _join(orbits: list[int], sigma: Sequence[int]) -> bool:
@@ -142,16 +157,17 @@ def _join(orbits: list[int], sigma: Sequence[int]) -> bool:
     return merged
 
 
-def _search(
+def search(
     n: int,
     rows: Sequence[int],
-    cells: list[list[int]],
+    cells: list[list[int]] | None = None,
+    *,
     prune: bool = True,
-    graph: Graph | None = None,
-    invariant: Invariant | None = None,
-) -> tuple[int, list[int], list[tuple[int, ...]], int]:
-    """Search from sorted cells, refined in place; returns (best key, best order, generators, leaves)."""
-    total_bits = n * (n - 1) // 2
+    invariant: Callable[[Colouring, int], object] | None = None,
+) -> _Search:
+    """Search from sorted cells (None: the unit cell), refined in place; an invariant comes bound to its graph."""
+    cells = [list(range(n))] if cells is None else cells
+    total_bits = codec.triangle_bits(n)
     gens: list[tuple[int, ...]] = []
     moved: list[int] = []  # per generator, the mask of the vertices it moves
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
@@ -225,24 +241,14 @@ def _search(
                 continue
             child = [list(c) for c in cells]
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine(rows, child, deque([1 << v]), graph, invariant)
+            _refine(rows, child, deque([1 << v]), invariant)
             base.append(v)
             recurse(child)
             base.pop()
 
-    _refine(rows, cells, deque(map(_mask, cells)), graph, invariant)
+    _refine(rows, cells, deque(map(_mask, cells)), invariant)
     recurse(cells)
-    return best_key, best_order, gens, leaf_count
-
-
-def _canon_key(n: int, rows: Sequence[int]) -> int:
-    """Canonical upper-triangle key of a raw adjacency, unit colouring."""
-    return _search(n, rows, [list(range(n))])[0]
-
-
-def _canon_key_and_gens(n: int, rows: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    key, _, gens, _ = _search(n, rows, [list(range(n))])
-    return key, gens
+    return _Search(best_key, best_order, gens, leaf_count)
 
 
 def _cells_for(graph: Graph, colouring: Colouring | None) -> list[list[int]]:
@@ -263,7 +269,7 @@ def refine(graph: Graph, colouring: Colouring | None = None, invariant: Invarian
     refinement.
     """
     cells = _cells_for(graph, colouring)
-    _refine(graph.rows, cells, deque(map(_mask, cells)), graph, invariant)
+    _refine(graph.rows, cells, deque(map(_mask, cells)), None if invariant is None else partial(invariant, graph))
     return Colouring(tuple(frozenset(c) for c in cells))
 
 
@@ -283,16 +289,16 @@ def canonical_label(
     disables automorphism and partial-candidate pruning (same result, more
     leaves explored).
     """
-    cells = _cells_for(graph, colouring)
-    key, order, gens, leaves = _search(graph.n, graph.rows, cells, prune, graph, invariant)
+    bound = None if invariant is None else partial(invariant, graph)
+    found = search(graph.n, graph.rows, _cells_for(graph, colouring), prune=prune, invariant=bound)
     image = [0] * graph.n
-    for position, v in enumerate(order):
+    for position, v in enumerate(found.order):
         image[v] = position
     return CanonResult(
-        canonical_graph=Graph(graph.n, tuple(codec.rows_from_key(graph.n, key))),
+        canonical_graph=Graph(graph.n, tuple(codec.rows_from_key(graph.n, found.key))),
         labelling=Permutation(tuple(image)),
-        automorphism_generators=tuple(Permutation(g) for g in gens),
-        leaf_count=leaves,
+        automorphism_generators=tuple(Permutation(g) for g in found.generators),
+        leaf_count=found.leaves,
     )
 
 
@@ -316,7 +322,7 @@ def are_isomorphic(
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return _search(g.n, g.rows, g_cells)[0] == _search(h.n, h.rows, h_cells)[0]
+    return search(g.n, g.rows, g_cells).key == search(h.n, h.rows, h_cells).key
 
 
 def automorphism_generators(graph: Graph, colouring: Colouring | None = None) -> list[Permutation]:
@@ -341,7 +347,7 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     for index, item in enumerate(items):
         try:
             graph = item if isinstance(item, Graph) else codec.decode(item)
-            key = (graph.n, _canon_key(graph.n, graph.rows))
+            key = (graph.n, search(graph.n, graph.rows).key)
         except ValueError as exc:
             exc.args = (f"item {index}: {exc}",)
             raise

@@ -5,9 +5,10 @@ extended by attaching the new vertex to each possible neighbourhood, and the
 children are deduplicated by canonical form.  Generation may be restricted
 by any ``GraphFilter``.  Its hereditary clauses, which every induced subgraph
 of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c), prune
-the neighbourhoods on every level; the whole filter is then evaluated once
-on the final level, which settles the other clauses (Connected,
-Connectivity, lower bounds, negations).
+the neighbourhoods on every level.  Only the residual clauses, those the
+pruning does not settle on every output graph (Connected, Connectivity,
+positive lower bounds, negations, Bipartite=false), are then evaluated on
+the final level; with none left, no ``Graph`` is built there.
 
 Before any canonical form is computed, a child is dropped unless its new
 vertex has maximum degree in it.  With ``top`` the parent's maximum degree
@@ -117,19 +118,27 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[int]:
     return reps
 
 
-def _hereditary_bounds(constraints: GraphFilter) -> tuple[bool, int | None, int | None]:
+def _hereditary_bounds(constraints: GraphFilter) -> tuple[tuple[bool, int | None, int | None], GraphFilter]:
     # (bipartite, edge budget, cycle budget) from the clauses that survive
-    # vertex deletion; a negated bound is not hereditary and is left to the
-    # final evaluation.
+    # vertex deletion, and the residual filter of the clauses that these do
+    # not settle; a negated bound is not hereditary and stays in the residual.
     bipartite, max_edges, max_cycles = False, None, None
+    residual = []
     for c in constraints.constraints:
         if c.name == "Bipartite":
-            bipartite = c.value != c.negate
-        elif c.name == "NumEdges" and not c.negate:
-            max_edges = c.bounds()[1]
-        elif c.name == "NumCycles" and not c.negate:
-            max_cycles = c.bounds()[1]
-    return bipartite, max_edges, max_cycles
+            bipartite = enforced = c.value != c.negate
+        elif c.name in ("NumEdges", "NumCycles") and not c.negate:
+            lo, hi = c.bounds()
+            if c.name == "NumEdges":
+                max_edges = hi
+            else:
+                max_cycles = hi
+            enforced = lo <= 0 <= hi  # hi < 0 must still reject the one-vertex graph
+        else:
+            enforced = False
+        if not enforced:
+            residual.append(c)
+    return (bipartite, max_edges, max_cycles), GraphFilter(tuple(residual))
 
 
 def _neighbourhood_masks(
@@ -169,8 +178,7 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
     byte strings.  Output is deterministic.
     """
     check_vertex_count(n)
-    constraints = constraints or GraphFilter()
-    bounds = _hereditary_bounds(constraints)
+    bounds, residual = _hereditary_bounds(constraints or GraphFilter())
 
     keys = {0}  # the 1-vertex graph
     for k in range(2, n + 1):
@@ -186,16 +194,16 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
                 for m in _neighbourhood_masks(parent, *bounds)
                 if m.bit_count() >= top + (1 if m & top_mask else 0)  # new vertex of maximum degree
             ]
-            gens = canon._canon_key_and_gens(k - 1, parent)[1] if k > 2 else []
+            gens = canon.search(k - 1, parent).generators if k > 2 else []
             for mask in _orbit_reps(masks, gens):
                 child = [parent[i] | (new_bit if (mask >> i) & 1 else 0) for i in range(k - 1)]
                 child.append(mask)
-                keys.add(canon._canon_key(k, child))
+                keys.add(canon.search(k, child).key)
 
     return [
         codec.graph6_from_key(n, key)
         for key in sorted(keys)
-        if not constraints.constraints or evaluate(constraints, Graph(n, tuple(codec.rows_from_key(n, key))))
+        if not residual.constraints or evaluate(residual, Graph(n, tuple(codec.rows_from_key(n, key))))
     ]
 
 

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from conftest import all_labelled_graphs
-from gcanon import canon, codec
+from conftest import all_labelled_graphs, closure_order
+from gcanon import canon, codec, generate
 from gcanon.core import Graph, ZeroVertexError
 from gcanon.filters import evaluate, filter_graphs, parse_filter_spec
 from gcanon.generate import GenOptions, RandomModel, generate_graphs, generate_random_graphs
@@ -50,7 +50,7 @@ def census(n):
 @functools.cache
 def brute_force_classes(n):
     """Canonical keys of every class, from all 2^C(n,2) labelled graphs."""
-    return frozenset(canon._canon_key(n, g.rows) for g in all_labelled_graphs(n))
+    return frozenset(canon.search(n, g.rows).key for g in all_labelled_graphs(n))
 
 
 def brute_force_class_keys(n, predicate=None):
@@ -63,9 +63,11 @@ def brute_force_class_keys(n, predicate=None):
 
 
 # Hereditary clauses (pruned on every level) in plain, ranged and negated
-# forms, and final-only clauses.
+# forms, and final-only clauses.  No level builds the one-vertex graph, so
+# the empty range must still reject it.
 FILTER_SPECS = [
     "NumCycles=0",
+    "NumEdges=-2..-1",
     "NumCycles=1..2",
     "!NumCycles=0",
     "Bipartite=false",
@@ -115,13 +117,55 @@ def test_classes_match_networkx_atlas():
 
 # Each hereditary pruner, alone and with others, one size past the brute-force
 # oracle: pruned generation must equal filtering the unrestricted census.
+# The positive lower bounds and the negations must survive into the residual
+# filter that generation evaluates on the last level.
 @pytest.mark.parametrize(
     "spec",
-    ["NumEdges=0..6", "NumCycles=0..2", "Bipartite=true", "NumCycles=0,!Connectivity=0", "Bipartite=true,NumEdges=0..5"],
+    [
+        "NumEdges=0..6",
+        "NumCycles=0..2",
+        "Bipartite=true",
+        "NumCycles=0,!Connectivity=0",
+        "Bipartite=true,NumEdges=0..5",
+        "NumEdges=3..6",
+        "NumCycles=1..2",
+        "!Bipartite=true",
+        "!Bipartite=false",
+        "Bipartite=true,NumEdges=4..9",
+    ],
 )
 def test_pruned_generation_matches_post_filter_n7(spec):
     graph_filter = parse_filter_spec(spec)
     assert generate_graphs(7, graph_filter) == sorted(filter_graphs(census(7), graph_filter))
+
+
+def test_generation_evaluates_only_the_residual_filter(monkeypatch):
+    calls = []
+
+    def counted(graph_filter, graph):
+        calls.append(graph_filter)
+        return evaluate(graph_filter, graph)
+
+    monkeypatch.setattr(generate, "evaluate", counted)
+    for spec in ("Bipartite=true", "NumCycles=0"):
+        assert generate_graphs(7, parse_filter_spec(spec))
+    assert calls == []
+
+
+A001187 = [1, 1, 4, 38, 728, 26704, 1866256]
+
+
+def labelled_count(n, lines):
+    """Labelled graphs in the given classes: n!/|Aut G| each, with |Aut G| the order of the returned generators."""
+    return sum(math.factorial(n) // closure_order(canon.automorphism_generators(codec.decode(s)), n) for s in lines)
+
+
+def test_labelled_counts_from_automorphism_groups():
+    # A missing or repeated class changes a sum; generators that span only a
+    # proper subgroup of some class's group make it too large.
+    for n in range(1, 8):
+        assert labelled_count(n, census(n)) == 2 ** math.comb(n, 2), n
+        assert labelled_count(n, generate_graphs(n, GenOptions(only_connected=True))) == A001187[n - 1], n
 
 
 def test_bipartite_counts():

@@ -7,10 +7,11 @@ attribute of an imported module, fails the test.  Scoped state belongs in a
 ``contextvars.ContextVar`` or an explicit parameter instead.  Outside
 ``core.py``, a ``raise ZeroVertexError`` fails too: ``Graph`` and every count
 entry point reject 0 through ``core.check_vertex_count``, so no other module
-needs the rule.  So does importing an underscore name from ``.core``, or
-reading one as an attribute of the ``core`` module: the rules that ``core``
-keeps private (such as the connectivity flow and the breadth-first walk) are
-reached through its public functions only.
+needs the rule.  So does taking an underscore name from a sibling module,
+whether imported (``from .x import _y``) or read as an attribute of it
+(``x._y``): what a module keeps private (such as the connectivity flow in
+``core`` or the search record in ``canon``) is reached through its public
+functions only.
 """
 
 from __future__ import annotations
@@ -102,20 +103,21 @@ def f(n):
     assert zero_vertex_raises(source) == ["line 7: raise ZeroVertexError", "line 8: raise core.ZeroVertexError"]
 
 
-def private_core_imports(source: str) -> list[str]:
-    """Line-numbered underscore names that ``source`` takes from ``core``.
+def private_sibling_names(source: str, module: str) -> list[str]:
+    """Line-numbered underscore names that ``source``, the file of ``module``, takes from a sibling.
 
-    Both forms count: ``from .core import _x``, and ``core._x`` read through
-    any name that ``from . import core`` (or ``... as alias``) binds.
+    Both forms count: ``from .x import _y``, and ``x._y`` read through any
+    name that ``from . import x`` (or ``... as alias``) binds, for every
+    sibling x other than ``module`` itself; dunders are exempt.
     """
     tree = ast.parse(source)
     found = []
     aliases = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core":
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module not in (None, module):
             found += [(alias.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
         elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
-            aliases.update(alias.asname or alias.name for alias in node.names if alias.name == "core")
+            aliases.update(alias.asname or alias.name for alias in node.names if alias.name != module)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
             if node.attr.startswith("_") and not node.attr.startswith("__"):
@@ -123,12 +125,12 @@ def private_core_imports(source: str) -> list[str]:
     return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
-def test_only_core_uses_private_core_names(path):
-    assert private_core_imports(path.read_text()) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_takes_a_siblings_private_names(path):
+    assert private_sibling_names(path.read_text(), path.stem) == []
 
 
-def test_private_core_import_check_catches_every_name():
+def test_private_name_check_catches_every_form():
     source = """
 from . import core
 from .core import Graph, _connectivity_at_most, bits
@@ -137,16 +139,20 @@ from .core import (
     _local_connectivity as flow,
     check_vertex_count,
 )
-from . import canon, core as c
+from . import canon, core as c, filters
+from .filters import _matches
 
 layers = core._layers(rows, 1, 1)
 flows = c._local_connectivity, canon._search, core.component_masks, core.__name__
+own = filters._PROPERTY_VALUES
 """
-    assert private_core_imports(source) == [
+    assert private_sibling_names(source, "filters") == [
         "line 3: _connectivity_at_most",
+        "line 4: _canon_key",
         "line 6: _local_connectivity",
-        "line 11: core._layers",
-        "line 12: c._local_connectivity",
+        "line 12: core._layers",
+        "line 13: c._local_connectivity",
+        "line 13: canon._search",
     ]
 
 
