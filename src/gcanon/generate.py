@@ -11,17 +11,25 @@ positive lower bounds, negations, Bipartite=false), are then evaluated on
 the final level; with none left, no ``Graph`` is built there.
 
 Before any canonical form is computed, a child is dropped unless its new
-vertex has maximum degree in it.  With ``top`` the parent's maximum degree
-and ``top_mask`` the parent vertices of that degree, a neighbourhood ``m``
-is kept when ``|m| >= top + (1 if m meets top_mask else 0)``.  No class is
-lost: every class X arises from X - v for a maximum-degree vertex v; X - v,
-an induced subgraph, keeps the hereditary clauses, so it was generated on
-the level below and the neighbourhood of v survives their pruning; and the
-degree test is invariant under the parent's automorphisms, so it commutes
-with taking one neighbourhood per orbit.  The key set still removes the
-remaining duplicates, so the output is unchanged.  The test is the cheapest
-case of McKay's canonical augmentation (*Isomorph-free exhaustive
-generation*, J. Algorithms 26, 1998).
+vertex maximises f(v) = (deg v, sum of deg u over the neighbours u of v),
+compared lexicographically over the child's vertices; ties are kept.  For a
+neighbourhood ``m`` the test reads the parent alone: the new vertex scores
+(|m|, |m| + sum of deg i over i in m), and a parent vertex i has child degree
+deg i + [i in m] and neighbour-degree sum nsum i + |N(i) & m| + [i in m]·|m|,
+with deg and nsum (the sum of deg over N(i)) taken in the parent.
+No class is lost.  Every class X has a vertex v that maximises f in X, and
+X arises from X - v.  X - v, an induced subgraph, keeps the hereditary
+clauses, so it was generated on the level below as a parent P in which the
+neighbourhood of v is some ``m`` that survives their pruning; the child of
+P and ``m`` is X, and f is an isomorphism invariant, so ``m`` passes the
+test.  The test commutes with taking one neighbourhood per orbit: an
+automorphism s of P extends, fixing the new vertex, to an isomorphism from
+the child of ``m`` to the child of s(m), so the kept masks are a union of
+orbits and one representative of each still reaches every class.  When at
+most one mask survives there is nothing to choose between, so P's
+automorphism search is skipped.  The key set still removes the remaining duplicates, so the output
+is unchanged.  The test is a cheap case of McKay's canonical augmentation
+(*Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import random
 from dataclasses import dataclass
 
 from . import canon, codec
-from .core import Graph, bipartition_masks, check_vertex_count, component_masks
+from .core import Graph, bipartition_masks, bits, check_vertex_count, component_masks
 from .filters import GraphFilter, PropertyConstraint, evaluate
 
 
@@ -171,6 +179,30 @@ def _neighbourhood_masks(
     return [mask for mask, _ in ranked if mask.bit_count() <= edge_budget]
 
 
+def _new_vertex_maximises_f(parent: tuple[int, ...], masks: list[int]) -> list[int]:
+    # The masks whose new vertex maximises f in the child, ties allowed, with
+    # the scores of the module docstring.  Only a parent vertex whose child
+    # degree equals |m| can beat the new vertex on the second component.
+    degrees = [r.bit_count() for r in parent]
+    nsums = [sum(degrees[j] for j in bits(r)) for r in parent]
+    of_degree = [0] * (len(parent) + 1)
+    for i, d in enumerate(degrees):
+        of_degree[d] |= 1 << i
+    top = max(degrees)
+    kept = []
+    for m in masks:
+        d = m.bit_count()
+        if d < top + (1 if m & of_degree[top] else 0):
+            continue  # some parent vertex has a larger child degree
+        ties = (of_degree[d] & ~m) | (of_degree[d - 1] & m)  # at d = 0, m is empty
+        if ties:
+            score = d + sum(degrees[i] for i in bits(m))
+            if any(nsums[i] + (parent[i] & m).bit_count() + (d if m >> i & 1 else 0) > score for i in bits(ties)):
+                continue
+        kept.append(m)
+    return kept
+
+
 def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]:
     """Graph6 strings of all non-isomorphic graphs on n vertices matching constraints.
 
@@ -186,15 +218,8 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
         keys = set()
         new_bit = 1 << (k - 1)
         for parent in parents:
-            degrees = [r.bit_count() for r in parent]
-            top = max(degrees)
-            top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
-            masks = [
-                m
-                for m in _neighbourhood_masks(parent, *bounds)
-                if m.bit_count() >= top + (1 if m & top_mask else 0)  # new vertex of maximum degree
-            ]
-            gens = canon.search(k - 1, parent).generators if k > 2 else []
+            masks = _new_vertex_maximises_f(parent, _neighbourhood_masks(parent, *bounds))
+            gens = canon.search(k - 1, parent).generators if len(masks) > 1 else []
             for mask in _orbit_reps(masks, gens):
                 child = [parent[i] | (new_bit if (mask >> i) & 1 else 0) for i in range(k - 1)]
                 child.append(mask)

@@ -98,11 +98,6 @@ def test_refine_size_mismatch():
         refine(Graph.empty(3), Colouring.unit(4))
 
 
-def test_refine_zero_vertex():
-    with pytest.raises(ZeroVertexError):
-        refine(Graph.empty(0))
-
-
 def test_canonical_of_k5_is_k5():
     result = canonical_label(Graph.complete(5))
     assert result.canonical_graph == Graph.complete(5)
@@ -179,8 +174,6 @@ def test_are_isomorphic_c5_relabelling():
 
 def test_are_isomorphic_edge_cases():
     assert not are_isomorphic(Graph.empty(3), Graph.empty(4))
-    with pytest.raises(ZeroVertexError):
-        are_isomorphic(Graph.empty(0), Graph.empty(0))
     # mismatched cell sizes: no search, just False
     pi = Colouring(([0], [1, 2]))
     rho = Colouring(([0, 1], [2]))
@@ -324,13 +317,6 @@ def test_remove_isomorphs_error_carries_index():
     assert info.value.offset == 1
     with pytest.raises(ZeroVertexError, match="^item 2: "):
         remove_isomorphs([Graph.path(2), Graph.path(3), "?"])
-
-
-def test_zero_vertex_rejected_everywhere():
-    with pytest.raises(ZeroVertexError):
-        canonical_label(Graph.empty(0))
-    with pytest.raises(ZeroVertexError):
-        automorphism_generators(Graph.empty(0))
 
 
 def test_invariant_hook():

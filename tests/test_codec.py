@@ -42,10 +42,6 @@ def test_zero_vertex_rejected():
         decode("?")
     with pytest.raises(ZeroVertexError):
         decode(":?")
-    with pytest.raises(ZeroVertexError):
-        encode_graph6(Graph.empty(0))
-    with pytest.raises(ZeroVertexError):
-        encode_sparse6(Graph.empty(0))
 
 
 def test_truncated_and_trailing_payload():

@@ -403,8 +403,3 @@ def test_filter_graphs_error_carries_index():
     assert info.value.offset == 1
     with pytest.raises(ZeroVertexError, match="^item 0: "):
         filter_graphs(["?"], ACCEPT_ALL)
-
-
-def test_zero_vertex_evaluate():
-    with pytest.raises(ZeroVertexError):
-        evaluate(ACCEPT_ALL, Graph.empty(0))

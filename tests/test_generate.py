@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import pytest
 
@@ -43,8 +44,15 @@ def test_outputs_are_canonical_and_distinct():
 
 
 @functools.cache
+def counted_generation(n, constraints):
+    """``generate_graphs(n, constraints)`` and the number of canonical searches it ran."""
+    with mock.patch.object(canon, "search", wraps=canon.search) as search:
+        lines = generate_graphs(n, constraints)
+    return lines, search.call_count
+
+
 def census(n):
-    return generate_graphs(n)
+    return counted_generation(n, None)[0]
 
 
 @functools.cache
@@ -152,20 +160,46 @@ def test_generation_evaluates_only_the_residual_filter(monkeypatch):
     assert calls == []
 
 
-A001187 = [1, 1, 4, 38, 728, 26704, 1866256]
+A001187 = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
 
 
-def labelled_count(n, lines):
-    """Labelled graphs in the given classes: n!/|Aut G| each, with |Aut G| the order of the returned generators."""
-    return sum(math.factorial(n) // closure_order(canon.automorphism_generators(codec.decode(s)), n) for s in lines)
+@functools.cache
+def labelled_copies(line):
+    """n!/|Aut G| for the graph on the line, with |Aut G| the order of the returned generators."""
+    g = codec.decode(line)
+    return math.factorial(g.n) // closure_order(canon.automorphism_generators(g), g.n)
 
 
 def test_labelled_counts_from_automorphism_groups():
     # A missing or repeated class changes a sum; generators that span only a
     # proper subgroup of some class's group make it too large.
-    for n in range(1, 8):
-        assert labelled_count(n, census(n)) == 2 ** math.comb(n, 2), n
-        assert labelled_count(n, generate_graphs(n, GenOptions(only_connected=True))) == A001187[n - 1], n
+    for n in range(1, 9):
+        assert sum(map(labelled_copies, census(n))) == 2 ** math.comb(n, 2), n
+        connected = generate_graphs(n, GenOptions(only_connected=True))
+        assert sum(map(labelled_copies, connected)) == A001187[n - 1], n
+
+
+# The degree-only pre-check, which also searched every parent, made 21,162 and
+# 11,792 searches here.
+@pytest.mark.parametrize(
+    "n, constraints, most", [(8, None, 15782), (10, GenOptions(only_bipartite=True), 8737)]
+)
+def test_generation_search_count(n, constraints, most):
+    assert counted_generation(n, constraints)[1] <= most
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_kept_masks_are_unions_of_parent_orbits(bipartite):
+    # The pre-check must commute with taking one neighbourhood per orbit, so
+    # every automorphism of a parent maps its kept masks onto themselves.
+    # The parents come from brute force, not from generation.
+    bounds = (bipartite, None, None)
+    for k in range(1, 7):
+        for key in brute_force_class_keys(k, Graph.is_bipartite if bipartite else None):
+            parent = tuple(codec.rows_from_key(k, key))
+            kept = set(generate._new_vertex_maximises_f(parent, generate._neighbourhood_masks(parent, *bounds)))
+            for g in canon.search(k, parent).generators:
+                assert {generate._apply_to_mask(g, m) for m in kept} == kept, (parent, g)
 
 
 def test_bipartite_counts():
