@@ -167,7 +167,6 @@ def search(
 ) -> _Search:
     """Search from sorted cells (None: the unit cell), refined in place; an invariant comes bound to its graph."""
     cells = [list(range(n))] if cells is None else cells
-    total_bits = codec.triangle_bits(n)
     gens: list[tuple[int, ...]] = []
     moved: list[int] = []  # per generator, the mask of the vertices it moves
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
@@ -201,9 +200,7 @@ def search(
             d = 0
             while sigma[base[d]] == base[d]:
                 d += 1
-            # The first generator needs no join: no level is built yet, and
-            # sigma moves base[d], so it joins two orbits of the trivial group.
-            if not gens or _join(levels[d] or build_level(d), sigma):
+            if _join(levels[d] or build_level(d), sigma):
                 gens.append(tuple(sigma))
                 moved.append(_mask(v for v, w in enumerate(sigma) if v != w))
                 for orbits in levels[:d]:
@@ -213,24 +210,13 @@ def search(
     def recurse(cells: list[list[int]]) -> None:
         target = -1
         target_size = n + 1
-        lead = 0
-        counting_lead = True
         for idx, cell in enumerate(cells):
-            size = len(cell)
-            if size == 1 and counting_lead:
-                lead += 1
-                continue
-            counting_lead = False
-            if 1 < size < target_size:
+            if 1 < len(cell) < target_size:
                 target = idx
-                target_size = size
+                target_size = len(cell)
         if target < 0:
             process_leaf(cells)
             return
-        if prune and best_key >= 0 and lead >= 2:
-            pk = codec.key_from_rows(rows, [c[0] for c in cells[:lead]])
-            if pk < best_key >> (total_bits - lead * (lead - 1) // 2):
-                return
         d = len(base)
         levels[d] = None
         cell = cells[target]
@@ -286,8 +272,7 @@ def canonical_label(
     colouring identically yields the same canonical graph.  The labelling
     maps the input colouring onto consecutive blocks, and the returned
     automorphism generators fix both graph and colouring.  ``prune=False``
-    disables automorphism and partial-candidate pruning (same result, more
-    leaves explored).
+    disables orbit pruning (same result, more leaves explored).
     """
     bound = None if invariant is None else partial(invariant, graph)
     found = search(graph.n, graph.rows, _cells_for(graph, colouring), prune=prune, invariant=bound)

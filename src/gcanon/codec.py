@@ -183,12 +183,9 @@ def _decode_sparse6(s: str) -> Graph:
     def byte_of(i: int) -> int:
         return pos + i // 6
 
-    def padding_from(i: int, skip_first: bool) -> bool:
+    def padding_from(i: int) -> bool:
         # valid padding is all 1s, optionally led by a single 0 bit
-        for j in range(i, nbits):
-            if not bit(j) and not (skip_first and j == i):
-                return False
-        return True
+        return all(bit(j) for j in range(i + 1, nbits))
 
     rows = [0] * n
     v = 0
@@ -199,7 +196,7 @@ def _decode_sparse6(s: str) -> Graph:
         if b:
             v += 1
         if v >= n or x >= n:
-            if not padding_from(i, skip_first=True):
+            if not padding_from(i):
                 raise CodecError("edge data past the declared vertex count", offset=byte_of(i))
             i = nbits
             break
@@ -213,7 +210,7 @@ def _decode_sparse6(s: str) -> Graph:
         else:
             rows[x] |= 1 << v
             rows[v] |= 1 << x
-    if not padding_from(i, skip_first=True):
+    if not padding_from(i):
         raise CodecError("trailing garbage after edge stream", offset=byte_of(i))
     return Graph(n, tuple(rows))
 

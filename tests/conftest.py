@@ -190,3 +190,28 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on the steps ±(1, 0), ±(0, 1), ±(1, 1); vertex (a, b) is 4a + b."""
+    edges = {
+        tuple(sorted((4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)))
+        for a in range(4)
+        for b in range(4)
+        for x, y in [(1, 0), (0, 1), (1, 1)]
+    }
+    return Graph.from_edges(16, sorted(edges))
+
+
+def triangular(m: int) -> Graph:
+    """T(m), the line graph of K_m: vertex i is the i-th pair of itertools.combinations(range(m), 2)."""
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = [(i, j) for i, j in itertools.combinations(range(len(pairs)), 2) if set(pairs[i]) & set(pairs[j])]
+    return Graph.from_edges(len(pairs), edges)
+
+
+def seidel_switch(g: Graph, part) -> Graph:
+    """g with every adjacency between part and the other vertices toggled."""
+    mask = sum(1 << v for v in part)
+    outside = ((1 << g.n) - 1) ^ mask
+    return Graph(g.n, tuple(row ^ (outside if (mask >> v) & 1 else mask) for v, row in enumerate(g.rows)))

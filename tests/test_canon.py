@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -7,15 +8,19 @@ from conftest import (
     brute_force_automorphism_count,
     brute_force_colour_isomorphic,
     brute_force_isomorphic,
+    cartesian_product,
     closure_order,
     complete_bipartite,
     disjoint_union,
     random_colouring,
     random_graph,
     random_permutation,
+    seidel_switch,
+    shrikhande,
     to_networkx,
+    triangular,
 )
-from gcanon import codec
+from gcanon import canon, codec
 from gcanon.canon import (
     are_isomorphic,
     automorphism_generators,
@@ -247,6 +252,36 @@ def test_symmetric_cliff_sentinel():
             assert len(result.automorphism_generators) <= g.n - 1
             if leaf_cap is not None:
                 assert result.leaf_count <= leaf_cap
+
+
+def test_search_packs_one_key_per_leaf(monkeypatch):
+    # Only leaves pack a candidate key; an inner node that packs a partial
+    # one to compare with the best key would show here.
+    rng = random.Random(32)
+    for g in [Graph.empty(20), Graph.complete(12)]:
+        h = permute_graph(g, random_permutation(rng, g.n))
+        counted = mock.Mock(wraps=codec.key_from_rows)
+        monkeypatch.setattr(codec, "key_from_rows", counted)
+        found = canon.search(h.n, h.rows)
+        assert counted.call_count == found.leaves
+
+
+def test_are_isomorphic_hard_pairs():
+    # Strongly regular pairs with equal parameters: refinement leaves each
+    # graph one cell, so only the search tells them apart.  The Chang graph
+    # is T(8) switched on the pairs of a perfect matching of K8.
+    rng = random.Random(33)
+    t8 = triangular(8)
+    pairs = list(itertools.combinations(range(8), 2))
+    chang = seidel_switch(t8, [pairs.index((a, a + 1)) for a in range(0, 8, 2)])
+    rook = cartesian_product(Graph.complete(4), Graph.complete(4))
+    for g, g_order, h, h_order in [(rook, 1152, shrikhande(), 192), (t8, 40320, chang, 384)]:
+        assert not are_isomorphic(g, h)
+        for graph, order in [(g, g_order), (h, h_order)]:
+            results = [canonical_label(permute_graph(graph, random_permutation(rng, graph.n))) for _ in range(3)]
+            assert len({r.canonical_graph for r in results}) == 1
+            for result in results:
+                assert closure_order(result.automorphism_generators, graph.n) == order
 
 
 def test_are_isomorphic_matches_networkx_vf2():

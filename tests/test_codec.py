@@ -114,7 +114,7 @@ def test_key_round_trip():
         image = Permutation(tuple(order.index(v) for v in range(n)))
         ordered_key = key_from_rows(g.rows, order)
         assert ordered_key == key_from_rows(permute_graph(g, image).rows, range(n))
-        # a prefix of the order packs the top bits, as prefix pruning assumes
+        # a prefix of the order packs the top bits
         for m in range(n + 1):
             top = ordered_key >> (n * (n - 1) // 2 - m * (m - 1) // 2)
             assert key_from_rows(g.rows, order[:m]) == top

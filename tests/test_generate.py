@@ -177,6 +177,11 @@ def test_labelled_counts_from_automorphism_groups():
         assert sum(map(labelled_copies, census(n))) == 2 ** math.comb(n, 2), n
         connected = generate_graphs(n, GenOptions(only_connected=True))
         assert sum(map(labelled_copies, connected)) == A001187[n - 1], n
+    # Cayley: n^(n-2) labelled trees.  The closure of the star K_{1,n-1} has
+    # (n-1)! elements, which bounds n.
+    trees = parse_filter_spec("NumCycles=0,!Connectivity=0")
+    for n in range(2, 10):
+        assert sum(map(labelled_copies, generate_graphs(n, trees))) == n ** (n - 2), n
 
 
 # The degree-only pre-check, which also searched every parent, made 21,162 and
