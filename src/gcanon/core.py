@@ -21,7 +21,6 @@ distance layers from a root as bitmasks: ``component_masks``,
 
 from __future__ import annotations
 
-from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -118,16 +117,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            rest = self.rows[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        # -(2 << u) clears bits 0..u, leaving the neighbours v > u
+        return [(u, v) for u, row in enumerate(self.rows) for v in bits(row & -(2 << u))]
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
@@ -207,29 +198,35 @@ def connectivity_at_most(graph: Graph, cap: int) -> int:
 
 def _local_connectivity(graph: Graph, s: int, t: int, limit: int) -> int:
     # Max internally vertex-disjoint s-t paths: unit-capacity max flow on
-    # the split digraph (v_in = 2v, v_out = 2v+1), capped at `limit`.
-    n = graph.n
-    res: list[dict[int, int]] = [{} for _ in range(2 * n)]
-    for v in range(n):
-        res[2 * v][2 * v + 1] = 1
-        res[2 * v + 1][2 * v] = 0
-    for u, v in graph.edges():
-        res[2 * u + 1][2 * v] = 1
-        res[2 * v][2 * u + 1] = 0
-        res[2 * v + 1][2 * u] = 1
-        res[2 * u][2 * v + 1] = 0
+    # the split digraph (v_in = 2v, v_out = 2v+1), capped at `limit`.  The
+    # network is read from the rows, once per pair: res[x] maps the head of
+    # each arc from x to its residual capacity.  The arcs are v_in -> v_out
+    # and v_out -> u_in for each neighbour u, at 1, with their reverses at 0.
+    res: list[dict[int, int]] = []
+    for v, row in enumerate(graph.rows):
+        v_in = {2 * v + 1: 1}
+        v_out = {2 * v: 0}
+        while row:
+            b = row & -row
+            u_in = 2 * b.bit_length() - 2
+            v_out[u_in] = 1
+            v_in[u_in + 1] = 0
+            row ^= b
+        res += (v_in, v_out)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < limit:
-        prev = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            x = queue.popleft()
+        prev = [-1] * len(res)
+        prev[source] = source
+        queue = [source]
+        for x in queue:  # breadth first: the list grows behind the loop
             for y, cap in res[x].items():
-                if cap > 0 and y not in prev:
+                if cap and prev[y] < 0:
                     prev[y] = x
                     queue.append(y)
-        if sink not in prev:
+            if prev[sink] >= 0:
+                break
+        if prev[sink] < 0:
             break
         y = sink
         while y != source:

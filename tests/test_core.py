@@ -171,6 +171,15 @@ def test_component_count_against_union_find():
         assert g.component_count() == len({find(v) for v in range(n)})
 
 
+def test_edges_are_the_set_bits_in_lexicographic_order():
+    rng = random.Random(14)
+    for n in range(1, 65):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            assert g.edges() == [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+    assert Graph.complete(64).edges() == [(u, v) for u in range(64) for v in range(u + 1, 64)]
+
+
 def test_forest_characterization():
     rng = random.Random(9)
     for _ in range(120):

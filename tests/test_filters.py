@@ -264,6 +264,21 @@ def test_connectivity_at_most_one_runs_no_flow(monkeypatch):
     assert evaluate(parse_filter_spec("!Connectivity=0"), Graph.cycle(5))  # a bound of 1 needs no flow
 
 
+def test_connectivity_builds_no_edge_list(monkeypatch):
+    # every flow reads its network from the adjacency rows, not from an edge list
+    rng = random.Random(45)
+    graphs = [random_graph(rng, 30, 0.2) for _ in range(6)]
+    graphs = [g for g in graphs if g.is_connected() and min(map(g.degree, range(g.n))) >= 2]
+    assert graphs  # minimum degree 2 or more, so flows run
+    expected = [(connectivity_at_most(g, 4), g.vertex_connectivity()) for g in graphs]
+
+    def no_edge_list(self):
+        raise AssertionError("edge list built on the connectivity path")
+
+    monkeypatch.setattr(Graph, "edges", no_edge_list)
+    assert [(connectivity_at_most(g, 4), g.vertex_connectivity()) for g in graphs] == expected
+
+
 def _ranges_around(k: int) -> list[tuple[int, int]]:
     """Ranges that k lies below, inside and above."""
     candidates = [(k + 1, k + 3), (k, k), (k - 1, k + 1), (0, k - 1), (k - 3, k - 1)]
@@ -285,6 +300,32 @@ def test_connectivity_matches_networkx():
             assert evaluate(spec, g) == (lo <= kappa <= hi), (g, lo, hi)
         for cap in range(-1, g.n + 2):
             assert connectivity_at_most(g, cap) == min(kappa, cap), (g, cap)
+
+
+def _sparse_with_minimum_degree_two(rng: random.Random, count: int) -> list[Graph]:
+    """Connected G(64, 0.1) draws with minimum degree 2, like the heaviest stream lines."""
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, 64, 0.1)
+        if g.is_connected() and min(map(g.degree, range(g.n))) == 2:
+            found.append(g)
+    return found
+
+
+def test_local_connectivity_matches_networkx_at_stream_sizes():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(46)
+    graphs = [random_graph(rng, 30, 0.2), *_sparse_with_minimum_degree_two(rng, 2), random_graph(rng, 64, 0.5)]
+    for g in graphs:
+        h = to_networkx(g)
+        non_adjacent = [(s, t) for s, t in combinations(range(g.n), 2) if not g.has_edge(s, t)]
+        for s, t in rng.sample(non_adjacent, 6):
+            kappa_st = local_node_connectivity(h, s, t)  # no cutoff: the exact value
+            for limit in (1, 2, 4, g.n):
+                assert core._local_connectivity(g, s, t, limit) == min(limit, kappa_st), (g, s, t, limit)
+        assert connectivity_at_most(g, 4) == min(nx.node_connectivity(h), 4), g
 
 
 def test_girth_components_and_bipartition_match_networkx():
