@@ -328,6 +328,24 @@ def test_local_connectivity_matches_networkx_at_stream_sizes():
         assert connectivity_at_most(g, 4) == min(nx.node_connectivity(h), 4), g
 
 
+def test_local_connectivity_cancels_flow_on_a_reverse_arc():
+    # s=0, t=3: the unique shortest path 0-1-2-3 takes the first unit of flow;
+    # the second path 0-4-5-2 ~> 1-6-7-3 exists only by cancelling 1 -> 2
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    trap = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 2), (1, 6), (6, 7), (7, 3)]
+    rng = random.Random(47)
+    for _ in range(8):
+        p = list(range(8))
+        rng.shuffle(p)
+        g = Graph.from_edges(8, [(p[u], p[v]) for u, v in trap])
+        s, t = p[0], p[3]
+        assert local_node_connectivity(to_networkx(g), s, t) == 2
+        for limit in (1, 2, 4, g.n):
+            assert core._local_connectivity(g, s, t, limit) == min(limit, 2), (g, s, t, limit)
+
+
 def test_girth_components_and_bipartition_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(43)

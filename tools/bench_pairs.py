@@ -4,8 +4,8 @@
 
 Run from anywhere inside a git checkout.  PARENT_REV is exported with
 ``git archive`` into a temporary directory.  For each ``WORKLOAD:PAIRS``
-argument, ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds S`` runs
-PAIRS times in the parent tree and PAIRS times in the working tree,
+argument, ``perfbench/run.py --workload WORKLOAD --seed SEED`` runs PAIRS
+times in the parent tree and PAIRS times in the working tree,
 alternately, with the first side of each pair flipped from one pair to the
 next.  Each tree runs its own ``perfbench/`` and its own ``src/``.
 
@@ -13,12 +13,16 @@ The JSON written to ``--out`` holds every run's result line (the last line
 ``run.py`` prints) and its pass count (from
 ``.perfbench/<workload>-seed<seed>-trace0.json``), and, per workload and
 end-to-end metric, each side's median and quartiles and the number of pairs
-the working tree won.  Standard library only.
+the working tree won, next to each side's failed operations and whether every
+run was correct.  It exits 1 when any run was not.  The working tree is named
+by its HEAD, whether it differs from HEAD, and the sha256 of ``git diff HEAD``.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -41,9 +45,9 @@ def export(root: str, rev: str, into: str) -> None:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in tree: its result line and its pass count."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(tree: str, workload: str, seed: int) -> dict:
+    """One benchmark run in tree, at the benchmark's own length: its result line and its pass count."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     with open(os.path.join(tree, ".perfbench", f"{workload}-seed{seed}-trace0.json"), encoding="utf-8") as fh:
         report = json.load(fh)
@@ -61,8 +65,18 @@ def spread(values: list[float]) -> dict[str, float]:
 
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's spread and the pairs the change won (ties count for neither)."""
-    out = {}
+    """Per end-to-end metric: each side's spread and the pairs the change won (ties count for neither).
+
+    A win only counts beside ``failed`` and ``correct``: each side's failed
+    operations over all its runs, and whether every one of its runs passed.
+    """
+    out = {
+        side: {
+            "failed": sum(r["result"]["failed"] for r in runs if r["side"] == side),
+            "correct": all(r["result"]["correct"] for r in runs if r["side"] == side),
+        }
+        for side in SIDES
+    }
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         value = {(r["pair"], r["side"]): r["result"]["metrics"][name]["value"] for r in runs}
@@ -84,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD:PAIRS")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     plan = []
     for spec in args.runs:
@@ -97,11 +110,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     bench = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed}",
         "parent": git(root, "rev-parse", args.parent).decode().strip(),
         "change": {
             "head": git(root, "rev-parse", "HEAD").decode().strip(),
             "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()),
+            "diff_sha256": hashlib.sha256(git(root, "diff", "--binary", "HEAD")).hexdigest(),
         },
         "workloads": {},
     }
@@ -112,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             runs = []
             for pair in range(pairs):
                 for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    run = run_once(trees[side], workload, args.seed, args.seconds)
+                    run = run_once(trees[side], workload, args.seed)
                     runs.append({"pair": pair, "side": side, "order": order, **run})
                     wall = run["result"]["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4g}, passes {run['passes']}", file=sys.stderr)
@@ -120,7 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    return 0
+    wrong = [w for w, entry in bench["workloads"].items() if not all(r["result"]["correct"] for r in entry["runs"])]
+    if wrong:
+        print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
