@@ -9,8 +9,8 @@ bit-vector is lexicographically greatest.
 A leaf whose candidate equals the best one yields an automorphism sigma
 mapping the best leaf onto it.  Sigma fixes the path the two leaves share
 and moves the vertex individualized at the level d where they part.  Each
-level of the current path holds an orbit array (minimum-label
-representatives) of the kept automorphisms that fix the path above it; the
+level of the current path holds an orbit array (a forest whose roots are
+the orbit minima) of the kept automorphisms that fix the path above it; the
 array is built from them when the level first needs it.  Sigma is kept only
 if it joins two orbits at level d; it is then joined into the built arrays
 of the ancestors too, whose groups contain the group at d, so a sigma that
@@ -35,7 +35,16 @@ seeded with the cells left to right, a splitting cell is replaced in place by
 its fragments in ascending neighbour-count order, and new fragments join the
 back of the worklist.  With an invariant hook, each time the worklist empties
 every cell is split by ascending invariant value over a snapshot colouring;
-if any cell split, every cell rejoins the worklist.
+if any cell split, every cell rejoins the worklist.  Two shortcuts leave the
+cell order, and so the canonical form, unchanged:
+
+- refinement stops once the colouring is discrete, since no splitter and no
+  invariant can split a singleton, so the splitters left would split nothing;
+- a splitter whose neighbourhood (the union of its vertices' rows) misses
+  every non-singleton cell gives all their vertices the count 0 and is
+  skipped.  Otherwise only the non-singleton cells are visited, left to
+  right, which is the order in which a visit of every cell splits them and
+  queues their fragments.
 """
 
 from __future__ import annotations
@@ -78,42 +87,47 @@ def _mask(vertices: Iterable[int]) -> int:
 def _refine(
     rows: Sequence[int],
     cells: list[list[int]],
-    alpha: deque[int],
+    alpha: deque[list[int]],
     invariant: Callable[[Colouring, int], object] | None = None,
 ) -> None:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds splitter masks still to be processed; a bound invariant adds
-    the invariant round described in the module docstring.
+    alpha holds the splitter cells still to be processed; a bound invariant
+    adds the invariant round described in the module docstring.
     """
     bc = int.bit_count
-    while alpha:
-        smask = alpha.popleft()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) == 1:
-                i += 1
-                continue
+    opened = [cell for cell in cells if len(cell) > 1]  # the non-singleton cells, left to right
+    live = _mask(v for cell in opened for v in cell)  # their vertices: 0 once the colouring is discrete
+    while alpha and live:
+        smask = hood = 0
+        for v in alpha.popleft():
+            smask |= 1 << v
+            hood |= rows[v]
+        if not hood & live:
+            continue
+        still: list[list[int]] = []
+        for cell in opened:
             first = bc(rows[cell[0]] & smask)
             for v in cell:
                 if bc(rows[v] & smask) != first:
                     break
             else:
-                i += 1
+                still.append(cell)
                 continue
             groups: dict[int, list[int]] = {}
             for v in cell:
                 groups.setdefault(bc(rows[v] & smask), []).append(v)
             frags = [groups[count] for count in sorted(groups)]
+            i = cells.index(cell)
             cells[i : i + 1] = frags
+            alpha.extend(frags)
             for frag in frags:
-                fmask = 0
-                for v in frag:
-                    fmask |= 1 << v
-                alpha.append(fmask)
-            i += len(frags)
-    if invariant is None:
+                if len(frag) > 1:
+                    still.append(frag)
+                else:
+                    live ^= 1 << frag[0]
+        opened = still
+    if invariant is None or not live:
         return
     colouring = Colouring(tuple(frozenset(c) for c in cells))
     split: list[list[int]] = []
@@ -127,19 +141,20 @@ def _refine(
         split.extend(keyed[key] for key in sorted(keyed))
     if len(split) > len(cells):
         cells[:] = split
-        _refine(rows, cells, deque(map(_mask, cells)), invariant)
+        _refine(rows, cells, deque(cells), invariant)
 
 
-def _join(orbits: list[int], sigma: Sequence[int]) -> bool:
-    """Merge the orbits of sigma into orbits, kept as minimum-label representatives.
+def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
+    """Merge the orbits of sigma into orbits, given the points sigma moves.
 
-    Returns whether two orbits merged.  Representatives only ever point to a
-    smaller label, so one ascending pass flattens the merged trees.
+    Returns whether two orbits merged.  Each point links to a smaller label
+    of its orbit, and only the orbit minimum links to itself, so
+    ``orbits[v] == v`` exactly when v is the minimum of its orbit.
     """
     merged = False
-    for v, w in enumerate(sigma):
+    for v in support:
         a = orbits[v]
-        b = orbits[w]
+        b = orbits[sigma[v]]
         if a != b:
             while orbits[a] != a:
                 a = orbits[a]
@@ -151,9 +166,6 @@ def _join(orbits: list[int], sigma: Sequence[int]) -> bool:
             elif b < a:
                 orbits[a] = b
                 merged = True
-    if merged:
-        for v in range(len(orbits)):
-            orbits[v] = orbits[orbits[v]]
     return merged
 
 
@@ -168,7 +180,7 @@ def search(
     """Search from sorted cells (None: the unit cell), refined in place; an invariant comes bound to its graph."""
     cells = [list(range(n))] if cells is None else cells
     gens: list[tuple[int, ...]] = []
-    moved: list[int] = []  # per generator, the mask of the vertices it moves
+    moved: list[tuple[int, list[int]]] = []  # per generator, the mask and the list of the vertices it moves
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
     base: list[int] = []
     best_key = -1
@@ -178,9 +190,9 @@ def search(
     def build_level(d: int) -> list[int]:
         fixed = _mask(base[:d])
         orbits = levels[d] = list(range(n))
-        for g, m in zip(gens, moved):
+        for g, (m, support) in zip(gens, moved):
             if not m & fixed:
-                _join(orbits, g)
+                _join(orbits, g, support)
         return orbits
 
     def process_leaf(cells: list[list[int]]) -> None:
@@ -200,12 +212,13 @@ def search(
             d = 0
             while sigma[base[d]] == base[d]:
                 d += 1
-            if _join(levels[d] or build_level(d), sigma):
+            support = [v for v, w in enumerate(sigma) if v != w]
+            if _join(levels[d] or build_level(d), sigma, support):
                 gens.append(tuple(sigma))
-                moved.append(_mask(v for v, w in enumerate(sigma) if v != w))
+                moved.append((_mask(support), support))
                 for orbits in levels[:d]:
                     if orbits is not None:
-                        _join(orbits, sigma)
+                        _join(orbits, sigma, support)
 
     def recurse(cells: list[list[int]]) -> None:
         target = -1
@@ -214,6 +227,8 @@ def search(
             if 1 < len(cell) < target_size:
                 target = idx
                 target_size = len(cell)
+                if target_size == 2:
+                    break
         if target < 0:
             process_leaf(cells)
             return
@@ -225,14 +240,14 @@ def search(
             # one with an explored sibling exactly when it is not its minimum.
             if i and prune and gens and (levels[d] or build_level(d))[v] != v:
                 continue
-            child = [list(c) for c in cells]
+            child = cells.copy()  # cells are replaced, never changed in place
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine(rows, child, deque([1 << v]), invariant)
+            _refine(rows, child, deque([[v]]), invariant)
             base.append(v)
             recurse(child)
             base.pop()
 
-    _refine(rows, cells, deque(map(_mask, cells)), invariant)
+    _refine(rows, cells, deque(cells), invariant)
     recurse(cells)
     return _Search(best_key, best_order, gens, leaf_count)
 
@@ -255,7 +270,7 @@ def refine(graph: Graph, colouring: Colouring | None = None, invariant: Invarian
     refinement.
     """
     cells = _cells_for(graph, colouring)
-    _refine(graph.rows, cells, deque(map(_mask, cells)), None if invariant is None else partial(invariant, graph))
+    _refine(graph.rows, cells, deque(cells), None if invariant is None else partial(invariant, graph))
     return Colouring(tuple(frozenset(c) for c in cells))
 
 

@@ -192,6 +192,17 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if v < v ^ (1 << i)])
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
 def shrikhande() -> Graph:
     """Cayley graph of Z4 x Z4 on the steps ±(1, 0), ±(0, 1), ±(1, 1); vertex (a, b) is 4a + b."""
     edges = {

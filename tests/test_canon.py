@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -12,6 +14,8 @@ from conftest import (
     closure_order,
     complete_bipartite,
     disjoint_union,
+    hypercube,
+    petersen,
     random_colouring,
     random_graph,
     random_permutation,
@@ -240,9 +244,9 @@ def test_generators_span_the_whole_group():
 def test_symmetric_cliff_sentinel():
     # Counts, not seconds, so the machine's speed does not matter.  A search
     # that keeps every matching leaf as a generator keeps leaves - 1 of them
-    # (496 on empty(32)) and filters them all for each sibling it tests.
+    # (1,128 on empty(48)) and filters them all for each sibling it tests.
     rng = random.Random(30)
-    for g, leaf_cap in [(Graph.empty(32), 497), (Graph.complete(32), 497), (complete_bipartite(16, 16), None)]:
+    for g in [Graph.empty(48), Graph.complete(48), complete_bipartite(24, 24)]:
         relabelled = [permute_graph(g, random_permutation(rng, g.n)) for _ in range(2)]
         results = [canonical_label(h) for h in relabelled]
         assert results[0].canonical_graph == results[1].canonical_graph
@@ -250,8 +254,102 @@ def test_symmetric_cliff_sentinel():
             for sigma in result.automorphism_generators:
                 assert permute_graph(h, sigma) == h
             assert len(result.automorphism_generators) <= g.n - 1
-            if leaf_cap is not None:
-                assert result.leaf_count <= leaf_cap
+            assert result.leaf_count <= g.n * (g.n - 1) // 2 + 1
+
+
+def test_search_records_match_recorded_digest():
+    # Recorded at commit 4563d29, before refinement skipped splitters that
+    # cannot split and stopped once discrete, and before joins walked only
+    # moved points: those rules must leave every record (key, order,
+    # generators, leaves) as it was.  A change that deliberately walks another
+    # tree (a backjump, say) records the digest again and declares the change
+    # in CHANGES.md.
+    rng = random.Random(34)
+    graphs = [codec.decode(line) for n in range(1, 8) for line in generate_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(12, 40), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for _ in range(100)]
+    graphs += [Graph.empty(24), Graph.complete(20), complete_bipartite(12, 12), hypercube(6), disjoint_union([petersen()] * 6)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        h = permute_graph(g, random_permutation(rng, g.n))
+        two_cells = None
+        if h.n > 1:
+            vertices = random_permutation(rng, h.n).image
+            cut = rng.randint(1, h.n - 1)
+            two_cells = [sorted(vertices[:cut]), sorted(vertices[cut:])]
+        for cells in (None, two_cells):
+            digest.update(repr(tuple(canon.search(h.n, h.rows, cells))).encode())
+    assert digest.hexdigest() == "f569021b47b65fba18e09e5bb427763189597441ede7ad8d2da2a369d3a5207c"
+
+
+def closure_orbits(n, perms):
+    """Each point's orbit under the group perms generate (dicts over the points each moves), closed point by point."""
+    orbit_of = {}
+    for v in range(n):
+        if v not in orbit_of:
+            orbit, frontier = {v}, [v]
+            while frontier:
+                frontier = [w for u in frontier for sigma in perms if (w := sigma.get(u, u)) not in orbit]
+                orbit.update(frontier)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return [orbit_of[v] for v in range(n)]
+
+
+def test_join_reads_only_moved_points():
+    # Each sigma is a dict over the points it moves, so a join that reads a
+    # fixed point fails.  About a third permute inside one orbit and so join
+    # nothing.
+    rng = random.Random(35)
+    for _ in range(60):
+        n = rng.randint(2, 64)
+        orbits = list(range(n))
+        perms = []
+        before = closure_orbits(n, perms)
+        for _ in range(rng.randint(1, 16)):
+            wide = [sorted(orbit) for orbit in before if len(orbit) > 1]
+            pool = rng.choice(wide) if wide and rng.random() < 0.35 else range(n)
+            points = rng.sample(pool, rng.randint(2, min(len(pool), 6)))
+            sigma = dict(zip(points, points[1:] + points[:1]))
+            merged = canon._join(orbits, sigma, list(sigma))
+            perms.append(sigma)
+            after = closure_orbits(n, perms)
+            assert [orbits[v] == v for v in range(n)] == [min(orbit) == v for v, orbit in enumerate(after)]
+            assert merged == (after != before)
+            before = after
+
+
+class RowsUntilDiscrete:
+    """Adjacency rows that fail a read once the cells being refined are discrete."""
+
+    def __init__(self, rows, cells):
+        self.rows, self.cells = rows, cells
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        assert len(self.cells) < len(self.rows), "row read from a discrete colouring"
+        return self.rows[v]
+
+
+def test_refine_stops_once_discrete():
+    def invariant(colouring, v):
+        raise AssertionError("invariant read from a discrete colouring")
+
+    rng = random.Random(36)
+    cells = [[v] for v in random_permutation(rng, 9).image]
+    canon._refine(RowsUntilDiscrete(Graph.cycle(9).rows, cells), cells, deque(cells), invariant)
+    assert len(cells) == 9
+    # Rigid graphs turn discrete partway through refinement, with splitters
+    # left over; none of them may read a row.
+    stopped = 0
+    for _ in range(20):
+        g = random_graph(rng, 20)
+        cells = [list(range(20))]
+        alpha = deque(cells)
+        canon._refine(RowsUntilDiscrete(g.rows, cells), cells, alpha)
+        assert Colouring(tuple(cells)) == refine(g)
+        stopped += len(cells) == 20 and bool(alpha)
+    assert stopped
 
 
 def test_search_packs_one_key_per_leaf(monkeypatch):

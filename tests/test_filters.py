@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_graph, to_networkx
+from conftest import complete_bipartite, hypercube, petersen, random_graph, to_networkx
 from gcanon import codec, core
 from gcanon.core import Graph, Permutation, ZeroVertexError, connectivity_at_most, permute_graph
 from gcanon.filters import (
@@ -113,12 +113,7 @@ def test_girth_values():
     # square with a pendant triangle: girth 3
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)])
     assert girth(g) == 3
-    petersen = Graph.from_edges(
-        10,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-    )
-    assert girth(petersen) == 5
+    assert girth(petersen()) == 5
 
 
 def test_girth_against_cycle_enumeration():
@@ -192,24 +187,9 @@ def test_connectivity_exact_k_semantics():
     assert not evaluate(build_graph_filter([("Connectivity", (0, 99))]), Graph.empty(1))
 
 
-def hypercube(d: int) -> Graph:
-    return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if v < v ^ (1 << i)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
 def two_k5_sharing_two() -> Graph:
     """K5 on {0, 1, 2, 3, 4} and K5 on {0, 1, 5, 6, 7}: minimum degree 4, connectivity 2."""
     return Graph.from_edges(8, {e for side in ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)) for e in combinations(side, 2)})
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
 
 
 def test_connectivity_cap_witness_q4():

@@ -14,9 +14,11 @@ The JSON written to ``--out`` holds every run's result line (the last line
 ``.perfbench/<workload>-seed<seed>-trace0.json``), and, per workload and
 end-to-end metric, each side's median and quartiles and the number of pairs
 the working tree won, next to each side's failed operations and whether every
-run was correct.  It exits 1 when any run was not.  The working tree is named
-by its HEAD, whether it differs from HEAD, and the sha256 of ``git diff HEAD``.
-Standard library only.
+run was correct.  A run that exits non-zero is kept with its exit code and the
+last lines of its stderr, counts as not correct, and the pairs go on; metrics
+are summarised over the pairs whose two runs both finished.  It exits 1 when
+any run was not correct.  The working tree is named by its HEAD, whether it
+differs from HEAD, and the sha256 of ``git diff HEAD``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+STDERR_LINES = 20  # kept from a run that exits non-zero
 
 
 def git(root: str, *args: str) -> bytes:
@@ -46,9 +49,14 @@ def export(root: str, rev: str, into: str) -> None:
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
-    """One benchmark run in tree, at the benchmark's own length: its result line and its pass count."""
+    """One benchmark run in tree, at the benchmark's own length: its result line and its pass count.
+
+    A run that exits non-zero has no result: its exit code and the end of its stderr instead.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    done = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        return {"result": None, "exit_code": done.returncode, "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
     with open(os.path.join(tree, ".perfbench", f"{workload}-seed{seed}-trace0.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     return {
@@ -56,6 +64,10 @@ def run_once(tree: str, workload: str, seed: int) -> dict:
         "passes": report["passes"],
         "loadavg_1m": report["environment"]["loadavg_1m"],
     }
+
+
+def correct(run: dict) -> bool:
+    return run["result"] is not None and run["result"]["correct"]
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -68,21 +80,24 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's spread and the pairs the change won (ties count for neither).
 
     A win only counts beside ``failed`` and ``correct``: each side's failed
-    operations over all its runs, and whether every one of its runs passed.
+    operations over its finished runs, and whether every one of its runs
+    finished and passed.  Only pairs whose two runs finished are summarised.
     """
+    result = {(r["pair"], r["side"]): r["result"] for r in runs if r["result"] is not None}
     out = {
         side: {
-            "failed": sum(r["result"]["failed"] for r in runs if r["side"] == side),
-            "correct": all(r["result"]["correct"] for r in runs if r["side"] == side),
+            "failed": sum(res["failed"] for (_, s), res in result.items() if s == side),
+            "correct": all(correct(r) for r in runs if r["side"] == side),
         }
         for side in SIDES
     }
+    pairs = sorted(p for p, side in result if side == "parent" and (p, "change") in result)
+    if not pairs:
+        return out
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        value = {(r["pair"], r["side"]): r["result"]["metrics"][name]["value"] for r in runs}
-        pairs = sorted({r["pair"] for r in runs})
-        parent = [value[p, "parent"] for p in pairs]
-        change = [value[p, "change"] for p in pairs]
+        parent = [result[p, "parent"]["metrics"][name]["value"] for p in pairs]
+        change = [result[p, "change"]["metrics"][name]["value"] for p in pairs]
         out[name] = {
             "parent": spread(parent),
             "change": spread(change),
@@ -128,13 +143,16 @@ def main(argv: list[str] | None = None) -> int:
                 for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
                     run = run_once(trees[side], workload, args.seed)
                     runs.append({"pair": pair, "side": side, "order": order, **run})
-                    wall = run["result"]["metrics"]["wall_s"]["value"]
-                    print(f"{workload} pair {pair} {side}: wall_s {wall:.4g}, passes {run['passes']}", file=sys.stderr)
+                    if run["result"] is None:
+                        said = f"exit {run['exit_code']}"
+                    else:
+                        said = f"wall_s {run['result']['metrics']['wall_s']['value']:.4g}, passes {run['passes']}"
+                    print(f"{workload} pair {pair} {side}: {said}", file=sys.stderr)
             bench["workloads"][workload] = {"summary": summarise(runs, metrics), "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    wrong = [w for w, entry in bench["workloads"].items() if not all(r["result"]["correct"] for r in entry["runs"])]
+    wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, entry["runs"]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
     return 1 if wrong else 0
