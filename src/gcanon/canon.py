@@ -33,13 +33,11 @@ its result by field name from the record ``_Search``:
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
 seeded with the cells left to right, a splitting cell is replaced in place by
 its fragments in ascending neighbour-count order, and new fragments join the
-back of the worklist.  With an invariant hook, each time the worklist empties
-every cell is split by ascending invariant value over a snapshot colouring;
-if any cell split, every cell rejoins the worklist.  Two shortcuts leave the
-cell order, and so the canonical form, unchanged:
+back of the worklist.  Two shortcuts leave the cell order, and so the
+canonical form, unchanged:
 
-- refinement stops once the colouring is discrete, since no splitter and no
-  invariant can split a singleton, so the splitters left would split nothing;
+- refinement stops once the colouring is discrete, since no splitter can
+  split a singleton, so the splitters left would split nothing;
 - a splitter whose neighbourhood (the union of its vertices' rows) misses
   every non-singleton cell gives all their vertices the count 0 and is
   skipped.  Otherwise only the non-singleton cells are visited, left to
@@ -51,13 +49,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import codec
 from .core import Colouring, Graph, Permutation
-
-Invariant = Callable[[Graph, Colouring, int], object]
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +79,10 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _refine(
-    rows: Sequence[int],
-    cells: list[list[int]],
-    alpha: deque[list[int]],
-    invariant: Callable[[Colouring, int], object] | None = None,
-) -> None:
+def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> None:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds the splitter cells still to be processed; a bound invariant
-    adds the invariant round described in the module docstring.
+    alpha holds the splitter cells still to be processed.
     """
     bc = int.bit_count
     opened = [cell for cell in cells if len(cell) > 1]  # the non-singleton cells, left to right
@@ -127,21 +116,6 @@ def _refine(
                 else:
                     live ^= 1 << frag[0]
         opened = still
-    if invariant is None or not live:
-        return
-    colouring = Colouring(tuple(frozenset(c) for c in cells))
-    split: list[list[int]] = []
-    for cell in cells:
-        if len(cell) == 1:
-            split.append(cell)
-            continue
-        keyed: dict[object, list[int]] = {}
-        for v in cell:
-            keyed.setdefault(invariant(colouring, v), []).append(v)
-        split.extend(keyed[key] for key in sorted(keyed))
-    if len(split) > len(cells):
-        cells[:] = split
-        _refine(rows, cells, deque(cells), invariant)
 
 
 def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
@@ -169,15 +143,13 @@ def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bo
     return merged
 
 
-def search(
-    n: int,
-    rows: Sequence[int],
-    cells: list[list[int]] | None = None,
-    *,
-    prune: bool = True,
-    invariant: Callable[[Colouring, int], object] | None = None,
-) -> _Search:
-    """Search from sorted cells (None: the unit cell), refined in place; an invariant comes bound to its graph."""
+def search(n: int, rows: Sequence[int], cells: list[list[int]] | None = None, *, prune: bool = True) -> _Search:
+    """Search from sorted cells (None: the unit cell), refined in place.
+
+    ``prune=False`` disables orbit pruning: the same key, order and group
+    from more leaves.  It exists as the reference that tests compare
+    pruning against.
+    """
     cells = [list(range(n))] if cells is None else cells
     gens: list[tuple[int, ...]] = []
     moved: list[tuple[int, list[int]]] = []  # per generator, the mask and the list of the vertices it moves
@@ -242,12 +214,12 @@ def search(
                 continue
             child = cells.copy()  # cells are replaced, never changed in place
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine(rows, child, deque([[v]]), invariant)
+            _refine(rows, child, deque([[v]]))
             base.append(v)
             recurse(child)
             base.pop()
 
-    _refine(rows, cells, deque(cells), invariant)
+    _refine(rows, cells, deque(cells))
     recurse(cells)
     return _Search(best_key, best_order, gens, leaf_count)
 
@@ -260,37 +232,26 @@ def _cells_for(graph: Graph, colouring: Colouring | None) -> list[list[int]]:
     return [sorted(c) for c in colouring.cells]
 
 
-def refine(graph: Graph, colouring: Colouring | None = None, invariant: Invariant | None = None) -> Colouring:
+def refine(graph: Graph, colouring: Colouring | None = None) -> Colouring:
     """The coarsest equitable colouring finer than the input.
 
     Equitable means that for every pair of result cells all vertices of the
-    first have the same number of neighbours in the second.  Passing an
-    ``invariant`` function (graph, colouring, vertex) -> orderable key splits
-    cells by key between refinement rounds; the default is pure degree
-    refinement.
+    first have the same number of neighbours in the second.
     """
     cells = _cells_for(graph, colouring)
-    _refine(graph.rows, cells, deque(cells), None if invariant is None else partial(invariant, graph))
+    _refine(graph.rows, cells, deque(cells))
     return Colouring(tuple(frozenset(c) for c in cells))
 
 
-def canonical_label(
-    graph: Graph,
-    colouring: Colouring | None = None,
-    *,
-    prune: bool = True,
-    invariant: Invariant | None = None,
-) -> CanonResult:
+def canonical_label(graph: Graph, colouring: Colouring | None = None) -> CanonResult:
     """Canonical form of a coloured graph.
 
     The result is invariant under relabelling: permuting the graph and its
     colouring identically yields the same canonical graph.  The labelling
     maps the input colouring onto consecutive blocks, and the returned
-    automorphism generators fix both graph and colouring.  ``prune=False``
-    disables orbit pruning (same result, more leaves explored).
+    automorphism generators fix both graph and colouring.
     """
-    bound = None if invariant is None else partial(invariant, graph)
-    found = search(graph.n, graph.rows, _cells_for(graph, colouring), prune=prune, invariant=bound)
+    found = search(graph.n, graph.rows, _cells_for(graph, colouring))
     image = [0] * graph.n
     for position, v in enumerate(found.order):
         image[v] = position

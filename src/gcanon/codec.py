@@ -19,10 +19,8 @@ from .core import Graph, check_vertex_count
 class CodecError(ValueError):
     """A malformed graph string; ``offset`` is the failing byte position."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -228,7 +226,7 @@ def decode(s: str) -> Graph:
     """
     s = strip_line_end(s)
     if not s:
-        raise CodecError("empty graph string")
+        raise CodecError("empty graph string", offset=0)
     if s[0] == ":":
         return _decode_sparse6(s)
     return _decode_graph6(s)

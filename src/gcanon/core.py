@@ -307,9 +307,6 @@ class Colouring:
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
-
 
 def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
     """The graph with edge {sigma(u), sigma(v)} for every edge {u, v}."""

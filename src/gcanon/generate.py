@@ -21,7 +21,7 @@ No class is lost.  Every class X has a vertex v that maximises f in X, and
 X arises from X - v.  X - v, an induced subgraph, keeps the hereditary
 clauses, so it was generated on the level below as a parent P in which the
 neighbourhood of v is some ``m`` that survives their pruning; the child of
-P and ``m`` is X, and f is an isomorphism invariant, so ``m`` passes the
+P and ``m`` is X, and f is preserved by isomorphism, so ``m`` passes the
 test.  The test commutes with taking one neighbourhood per orbit: an
 automorphism s of P extends, fixing the new vertex, to an isomorphism from
 the child of ``m`` to the child of s(m), so the kept masks are a union of

@@ -48,15 +48,6 @@ C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 C5_RELABELLED = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
 
 
-def triangles_at(graph, colouring, v):
-    count = 0
-    nbrs = [w for w in range(graph.n) if graph.has_edge(v, w)]
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1 :]:
-            count += graph.has_edge(a, b)
-    return count
-
-
 def cell_lists(colouring):
     return [sorted(c) for c in colouring.cells]
 
@@ -149,23 +140,18 @@ def test_pruning_neutrality():
         disjoint_union([Graph.cycle(4), Graph.complete(3), Graph.complete(3)]),
         disjoint_union([Graph.cycle(4), Graph.cycle(4), Graph.complete(3)]),
     ]
-    for g in graphs + witnesses:
-        fast = canonical_label(g, prune=True)
-        slow = canonical_label(g, prune=False)
-        assert fast.canonical_graph == slow.canonical_graph
-        assert fast.leaf_count <= slow.leaf_count
-    # Colourings and the invariant hook both shape the orbits kept per level;
-    # either way pruning keeps the result and the whole group.
-    for g in graphs:
-        pi = random_colouring(rng, g.n)
-        order = brute_force_automorphism_count(g, pi)
-        for invariant in (None, triangles_at):
-            fast = canonical_label(g, pi, prune=True, invariant=invariant)
-            slow = canonical_label(g, pi, prune=False, invariant=invariant)
-            assert fast.canonical_graph == slow.canonical_graph
-            assert fast.leaf_count <= slow.leaf_count
-            assert closure_order(fast.automorphism_generators, g.n) == order
-            assert closure_order(slow.automorphism_generators, g.n) == order
+    # A colouring shapes the orbits kept per level; with or without one,
+    # pruning keeps the key and the whole group.
+    cases = [(g, None) for g in graphs + witnesses] + [(g, random_colouring(rng, g.n)) for g in graphs]
+    for g, pi in cases:
+        fast = canon.search(g.n, g.rows, None if pi is None else cell_lists(pi))
+        slow = canon.search(g.n, g.rows, None if pi is None else cell_lists(pi), prune=False)
+        assert fast.key == slow.key
+        assert fast.leaves <= slow.leaves
+        order = closure_order(slow.generators, g.n)
+        assert closure_order(fast.generators, g.n) == order
+        if g.n <= 6:  # the witnesses are too large to enumerate
+            assert order == brute_force_automorphism_count(g, pi)
 
 
 def test_idempotence_of_canonical_form():
@@ -332,12 +318,9 @@ class RowsUntilDiscrete:
 
 
 def test_refine_stops_once_discrete():
-    def invariant(colouring, v):
-        raise AssertionError("invariant read from a discrete colouring")
-
     rng = random.Random(36)
     cells = [[v] for v in random_permutation(rng, 9).image]
-    canon._refine(RowsUntilDiscrete(Graph.cycle(9).rows, cells), cells, deque(cells), invariant)
+    canon._refine(RowsUntilDiscrete(Graph.cycle(9).rows, cells), cells, deque(cells))
     assert len(cells) == 9
     # Rigid graphs turn discrete partway through refinement, with splitters
     # left over; none of them may read a row.
@@ -450,39 +433,3 @@ def test_remove_isomorphs_error_carries_index():
     assert info.value.offset == 1
     with pytest.raises(ZeroVertexError, match="^item 2: "):
         remove_isomorphs([Graph.path(2), Graph.path(3), "?"])
-
-
-def test_invariant_hook():
-    def check_hooked_refinement(g):
-        plain = refine(g)
-        hooked = refine(g, invariant=triangles_at)
-        assert is_equitable(g, hooked)
-        assert refines(hooked, plain)
-        for cell in hooked.cells:
-            assert len({triangles_at(g, hooked, v) for v in cell}) == 1
-        assert refine(g, hooked, invariant=triangles_at) == hooked  # idempotent
-        return plain, hooked
-
-    rng = random.Random(28)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        g = random_graph(rng, n, rng.random())
-        check_hooked_refinement(g)
-        sigma = random_permutation(rng, n)
-        h = permute_graph(g, sigma)
-        # still a canonical labelling map when the hook is supplied
-        assert (
-            canonical_label(g, invariant=triangles_at).canonical_graph
-            == canonical_label(h, invariant=triangles_at).canonical_graph
-        )
-        result = canonical_label(g, invariant=triangles_at)
-        assert result.canonical_graph == permute_graph(g, result.labelling)
-    # the hook refines: a triangle hanging off a square splits degree-2 cells
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
-    plain, hooked = check_hooked_refinement(g)
-    assert len(hooked.cells) >= len(plain.cells)
-    # in this cubic graph the triangle split leaves an inequitable colouring,
-    # so degree refinement has to run again after it
-    cubic = codec.decode("GBYKn?")
-    plain, hooked = check_hooked_refinement(cubic)
-    assert plain == Colouring.unit(8) and len(hooked.cells) > 2

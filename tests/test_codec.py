@@ -29,6 +29,13 @@ def test_trailing_newline_tolerated():
     assert info.value.offset == 3
 
 
+def test_empty_string_error_has_an_offset():
+    for text in ("", "\n", "\r\n"):
+        with pytest.raises(CodecError, match=r"^empty graph string \(byte offset 0\)$") as info:
+            decode(text)
+        assert info.value.offset == 0
+
+
 def test_internal_whitespace_is_an_error():
     with pytest.raises(CodecError) as info:
         decode("D c")

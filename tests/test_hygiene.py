@@ -11,7 +11,9 @@ needs the rule.  So does taking an underscore name from a sibling module,
 whether imported (``from .x import _y``) or read as an attribute of it
 (``x._y``): what a module keeps private (such as the connectivity flow in
 ``core`` or the search record in ``canon``) is reached through its public
-functions only.
+functions only.  Finally, every function and class that ``src/gcanon``
+defines must be named somewhere in ``src``, ``tests``, ``perfbench`` or
+``tools`` besides its own definition; one that is not is dead code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "gcanon").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "gcanon").glob("*.py"))
 
 
 def _module_names(tree: ast.Module) -> set[str]:
@@ -178,4 +181,92 @@ def f():
         "line 7: writes core.VERTEX_CAP",
         "line 8: writes o.sep",
         "line 9: writes core.?",
+    ]
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """Ids of the docstring nodes of the module, its classes and its functions."""
+    holders = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {
+        id(h.body[0].value)
+        for h in holders
+        if h.body and isinstance(h.body[0], ast.Expr) and isinstance(h.body[0].value, ast.Constant)
+    }
+
+
+def unnamed_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Functions and classes defined in ``defining`` (file name -> source) that no source names.
+
+    A name counts where it is read as a variable or an attribute, imported,
+    or spelled as a whole string outside a docstring (``setattr(m, "f", g)``);
+    a definition alone does not count, and dunders are exempt.
+    """
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    named: set[str] = set()
+    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                named.add(node.value)
+    found = []
+    for file_name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name not in named and not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append(f"{file_name} line {node.lineno}: {node.name}")
+    return sorted(found)
+
+
+def test_every_definition_is_named_somewhere():
+    others = [p for d in ("tests", "perfbench", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
+    defining = {p.name: p.read_text() for p in SOURCES}
+    assert unnamed_definitions(defining, [p.read_text() for p in others]) == []
+
+
+def test_unnamed_definition_check_catches_dead_code():
+    source = '''
+"""Mentions dead_in_docstring, which does not count."""
+
+class Used:
+    def __repr__(self):
+        return "Used"
+
+    def read(self):
+        return helper()
+
+    def is_dead(self):
+        """dead_in_docstring"""
+
+
+def helper():
+    return 1
+
+
+def patched():
+    pass
+
+
+def dead_in_docstring():
+    pass
+
+
+class Dead:
+    pass
+'''
+    caller = '''
+from gcanon.mod import Used
+
+Used().read()
+monkeypatch.setattr(mod, "patched", None)
+'''
+    assert unnamed_definitions({"mod.py": source}, [caller]) == [
+        "mod.py line 11: is_dead",
+        "mod.py line 23: dead_in_docstring",
+        "mod.py line 27: Dead",
     ]

@@ -29,7 +29,9 @@ _TEXT = st.one_of(
 def test_decode_raises_only_documented_errors(text):
     try:
         decode(text)
-    except (CodecError, ZeroVertexError, VertexCapError):
+    except CodecError as exc:
+        assert exc.offset is not None
+    except (ZeroVertexError, VertexCapError):
         pass
 
 
