@@ -6,11 +6,16 @@ cell and recurses.  Every discrete colouring (leaf) reads off a candidate
 relabelling; the canonical graph is the candidate whose upper-triangle
 bit-vector is lexicographically greatest.
 
-A leaf whose candidate equals the best one yields an automorphism sigma
-mapping the best leaf onto it.  Sigma fixes the path the two leaves share
+Once a best leaf exists, each later leaf is decided without packing its
+candidate: sigma, the permutation mapping the best leaf's order onto this
+leaf's, is tested as an automorphism, reading only the rows of the points it
+moves (see ``_is_automorphism``).  The two candidates are equal exactly when
+sigma is an automorphism, so only a leaf whose sigma fails packs its key,
+which then differs from the best key; the leaf becomes the best one if its
+key is greater.  An automorphism sigma fixes the path the two leaves share
 and moves the vertex individualized at the level d where they part.  Each
-level of the current path holds an orbit array (a forest whose roots are
-the orbit minima) of the kept automorphisms that fix the path above it; the
+level of the current path holds an orbit array (a forest whose roots are the
+orbit minima) of the kept automorphisms that fix the path above it; the
 array is built from them when the level first needs it.  Sigma is kept only
 if it joins two orbits at level d; it is then joined into the built arrays
 of the ancestors too, whose groups contain the group at d, so a sigma that
@@ -143,6 +148,30 @@ def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bo
     return merged
 
 
+def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
+    """Whether sigma maps the graph onto itself, given the points sigma moves.
+
+    Only the rows of moved points are read: an edge between two fixed points
+    is its own image.  A row with more than n/2 bits is tested through its
+    complement in range(n), which holds the point itself.
+    """
+    n = len(sigma)
+    full = (1 << n) - 1
+    for v in support:
+        row, target = rows[v], rows[sigma[v]]
+        if row.bit_count() * 2 > n:
+            row ^= full
+            target ^= full
+        image = 0
+        while row:
+            low = row & -row
+            image |= 1 << sigma[low.bit_length() - 1]
+            row ^= low
+        if image != target:
+            return False
+    return True
+
+
 def search(n: int, rows: Sequence[int], cells: list[list[int]] | None = None, *, prune: bool = True) -> _Search:
     """Search from sorted cells (None: the unit cell), refined in place.
 
@@ -171,26 +200,28 @@ def search(n: int, rows: Sequence[int], cells: list[list[int]] | None = None, *,
         nonlocal best_key, best_order, leaf_count
         leaf_count += 1
         order = [c[0] for c in cells]
-        key = codec.key_from_rows(rows, order)
-        if key > best_key:
-            best_key = key
-            best_order = order
-        elif key == best_key:
+        if best_order:
             sigma = [0] * n
             for b, v in zip(best_order, order):
                 sigma[b] = v
-            # sigma maps the best leaf's path onto this leaf's, so it fixes
-            # the levels the two paths share and moves base[d] where they part.
-            d = 0
-            while sigma[base[d]] == base[d]:
-                d += 1
             support = [v for v, w in enumerate(sigma) if v != w]
-            if _join(levels[d] or build_level(d), sigma, support):
-                gens.append(tuple(sigma))
-                moved.append((_mask(support), support))
-                for orbits in levels[:d]:
-                    if orbits is not None:
-                        _join(orbits, sigma, support)
+            if _is_automorphism(rows, sigma, support):
+                # sigma maps the best leaf's path onto this leaf's, so it fixes
+                # the levels the two paths share and moves base[d] where they part.
+                d = 0
+                while sigma[base[d]] == base[d]:
+                    d += 1
+                if _join(levels[d] or build_level(d), sigma, support):
+                    gens.append(tuple(sigma))
+                    moved.append((_mask(support), support))
+                    for orbits in levels[:d]:
+                        if orbits is not None:
+                            _join(orbits, sigma, support)
+                return
+        key = codec.key_from_rows(rows, order)  # not the best key: that would make sigma an automorphism
+        if key > best_key:
+            best_key = key
+            best_order = order
 
     def recurse(cells: list[list[int]]) -> None:
         target = -1

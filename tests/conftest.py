@@ -226,3 +226,9 @@ def seidel_switch(g: Graph, part) -> Graph:
     mask = sum(1 << v for v in part)
     outside = ((1 << g.n) - 1) ^ mask
     return Graph(g.n, tuple(row ^ (outside if (mask >> v) & 1 else mask) for v, row in enumerate(g.rows)))
+
+
+def chang() -> Graph:
+    """The Chang graph: T(8) switched on the pairs of a perfect matching of K8 (strongly regular like T(8), not isomorphic)."""
+    pairs = list(itertools.combinations(range(8), 2))
+    return seidel_switch(triangular(8), [pairs.index((a, a + 1)) for a in range(0, 8, 2)])

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py on a stub repository whose benchmark fails its first run in each tree."""
+"""tools/bench_pairs.py on stub repositories whose benchmark prints fixed metrics."""
 
 import json
 import os
@@ -10,23 +10,30 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STUB_RUN = """\
 import json, os, sys
 workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+with open("perfbench/stub.json") as fh:
+    stub = json.load(fh)
 os.makedirs(".perfbench", exist_ok=True)
-if not os.path.exists(".perfbench/ran"):
+if stub["fail_first"] and not os.path.exists(".perfbench/ran"):
     open(".perfbench/ran", "w").close()
     print("stub: first run fails", file=sys.stderr)
     sys.exit(3)
 with open(f".perfbench/{workload}-seed{seed}-trace0.json", "w") as fh:
     json.dump({"passes": 2, "environment": {"loadavg_1m": 0.0}}, fh)
-print(json.dumps({"metrics": {"wall_s": {"value": 1.0}}, "correct": True, "failed": 0}))
+metrics = {name: {"value": value} for name, value in stub["metrics"].items()}
+print(json.dumps({"metrics": metrics, "correct": True, "failed": 0}))
 """
 
 
-def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
+def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False):
+    """Commit a stub benchmark printing the parent metrics, leave the working tree printing the change ones, run the tool."""
     os.makedirs(tmp_path / "perfbench")
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+    stub = tmp_path / "perfbench" / "stub.json"
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent}))
     for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=stub", "-c", "user.email=stub@example.com", "commit", "-qm", "stub"]):
         subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent}))
     out = tmp_path / "pairs.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"), "HEAD", "symmetric:2", "--out", str(out)],
@@ -34,8 +41,12 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
         capture_output=True,
         text=True,
     )
+    return proc, json.loads(out.read_text())["workloads"]["symmetric"]
+
+
+def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
+    proc, entry = bench_stub(tmp_path, [{"name": "wall_s", "better": "lower"}], {"wall_s": 1.0}, fail_first=True)
     assert proc.returncode == 1, proc.stderr
-    entry = json.loads(out.read_text())["workloads"]["symmetric"]
     first, later = entry["runs"][:2], entry["runs"][2:]
     assert [r["side"] for r in first] == ["parent", "change"]
     for run in first:
@@ -45,3 +56,22 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     summary = entry["summary"]
     assert summary["parent"] == summary["change"] == {"failed": 0, "correct": False}
     assert summary["wall_s"]["pairs"] == 1
+
+
+def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
+    end_to_end = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "per_s", "better": "higher", "bound": 0.1},
+    ]
+    parent = {"wall_s": 2.0, "peak_rss_mb": 20.0, "per_s": 100.0}
+    change = {"wall_s": 1.0, "peak_rss_mb": 23.0, "per_s": 150.0}
+    proc, entry = bench_stub(tmp_path, end_to_end, parent, change)
+    assert proc.returncode == 0, proc.stderr
+    summary = entry["summary"]
+    assert (summary["wall_s"]["median_change"], summary["wall_s"]["over_bound"]) == (-0.5, False)
+    assert summary["peak_rss_mb"]["median_change"] == 0.15 and summary["peak_rss_mb"]["over_bound"]
+    assert (summary["per_s"]["median_change"], summary["per_s"]["over_bound"]) == (0.5, False)
+    assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
+        "over bound: symmetric peak_rss_mb median +15.0%, bound 10%"
+    ]

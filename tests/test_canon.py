@@ -11,6 +11,7 @@ from conftest import (
     brute_force_colour_isomorphic,
     brute_force_isomorphic,
     cartesian_product,
+    chang,
     closure_order,
     complete_bipartite,
     disjoint_union,
@@ -19,7 +20,6 @@ from conftest import (
     random_colouring,
     random_graph,
     random_permutation,
-    seidel_switch,
     shrikhande,
     to_networkx,
     triangular,
@@ -243,18 +243,16 @@ def test_symmetric_cliff_sentinel():
             assert result.leaf_count <= g.n * (g.n - 1) // 2 + 1
 
 
-def test_search_records_match_recorded_digest():
-    # Recorded at commit 4563d29, before refinement skipped splitters that
-    # cannot split and stopped once discrete, and before joins walked only
-    # moved points: those rules must leave every record (key, order,
-    # generators, leaves) as it was.  A change that deliberately walks another
-    # tree (a backjump, say) records the digest again and declares the change
-    # in CHANGES.md.
+@pytest.fixture(scope="module")
+def digest_searches():
+    """2,714 search records: every graph with n <= 7, 100 seeded G(n, p) with
+    n in 12..40 and five symmetric graphs, each relabelled and searched from
+    the unit cell and from two random cells."""
     rng = random.Random(34)
     graphs = [codec.decode(line) for n in range(1, 8) for line in generate_graphs(n)]
     graphs += [random_graph(rng, rng.randint(12, 40), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for _ in range(100)]
     graphs += [Graph.empty(24), Graph.complete(20), complete_bipartite(12, 12), hypercube(6), disjoint_union([petersen()] * 6)]
-    digest = hashlib.sha256()
+    found = []
     for g in graphs:
         h = permute_graph(g, random_permutation(rng, g.n))
         two_cells = None
@@ -262,9 +260,33 @@ def test_search_records_match_recorded_digest():
             vertices = random_permutation(rng, h.n).image
             cut = rng.randint(1, h.n - 1)
             two_cells = [sorted(vertices[:cut]), sorted(vertices[cut:])]
-        for cells in (None, two_cells):
-            digest.update(repr(tuple(canon.search(h.n, h.rows, cells))).encode())
+        found += [canon.search(h.n, h.rows, cells) for cells in (None, two_cells)]
+    return found
+
+
+def test_search_records_match_recorded_digest(digest_searches):
+    # Recorded at commit 4563d29, before refinement skipped splitters that
+    # cannot split and stopped once discrete, before joins walked only moved
+    # points, and before leaves tested sigma instead of packing a key: those
+    # rules must leave every record (key, order, generators, leaves) as it
+    # was.  A change that deliberately walks another tree (a backjump, say)
+    # records the digest again and declares the change in CHANGES.md.
+    digest = hashlib.sha256()
+    for found in digest_searches:
+        digest.update(repr(tuple(found)).encode())
     assert digest.hexdigest() == "f569021b47b65fba18e09e5bb427763189597441ede7ad8d2da2a369d3a5207c"
+
+
+def test_search_keys_and_orders_match_recorded_digest(digest_searches):
+    # The canonical forms and best leaves alone, recorded at commit 4b31c97.
+    # Pruning that skips only images of explored subtrees keeps the first
+    # best leaf of the walk, so this digest holds where a change to the
+    # leaves visited or the generators kept records the one above again.
+    digest = hashlib.sha256()
+    for found in digest_searches:
+        digest.update(repr((found.key, found.order)).encode())
+    assert len(digest_searches) == 2714
+    assert digest.hexdigest() == "cf89e39451a5d05be9f123051e1f4eab428aa3f5365aa4ecf70ab3850bb2275c"
 
 
 def closure_orbits(n, perms):
@@ -335,28 +357,99 @@ def test_refine_stops_once_discrete():
     assert stopped
 
 
-def test_search_packs_one_key_per_leaf(monkeypatch):
-    # Only leaves pack a candidate key; an inner node that packs a partial
-    # one to compare with the best key would show here.
+def test_search_packs_keys_only_at_leaves(monkeypatch):
+    # Only leaves pack a candidate key, over a full order of n distinct
+    # vertices; an inner node that packs a partial one to compare with the
+    # best key would show here.  A leaf whose sigma is an automorphism packs
+    # none, so on empty and complete graphs only the first leaf packs, while
+    # the Chang graph has inequivalent leaves too.
     rng = random.Random(32)
-    for g in [Graph.empty(20), Graph.complete(12)]:
+    for g, packing_leaves in [(Graph.empty(20), 1), (Graph.complete(12), 1), (chang(), None)]:
         h = permute_graph(g, random_permutation(rng, g.n))
-        counted = mock.Mock(wraps=codec.key_from_rows)
+        orders = []
+
+        def counted(rows, order, key_from_rows=codec.key_from_rows):
+            orders.append(list(order))
+            return key_from_rows(rows, order)
+
         monkeypatch.setattr(codec, "key_from_rows", counted)
         found = canon.search(h.n, h.rows)
-        assert counted.call_count == found.leaves
+        monkeypatch.undo()
+        assert all(sorted(order) == list(range(h.n)) for order in orders)
+        if packing_leaves is None:
+            assert 1 < len(orders) < found.leaves
+        else:
+            assert len(orders) == packing_leaves < found.leaves
+
+
+class RowsOf:
+    """Adjacency rows that fail a read outside the given points."""
+
+    def __init__(self, rows, points):
+        self.rows, self.points = rows, set(points)
+
+    def __getitem__(self, v):
+        assert v in self.points, f"row {v} read, outside sigma's support"
+        return self.rows[v]
+
+
+def plant_twins(rng, g, pairs):
+    """g with v given u's neighbours (other than u and v) for each (u, v), adjacent to u or not at random."""
+    rows = list(g.rows)
+    for u, v in pairs:
+        for w in range(g.n):
+            if w not in (u, v) and (rows[w] >> v & 1) != (rows[w] >> u & 1):
+                rows[w] ^= 1 << v
+                rows[v] ^= 1 << w
+        if (rows[u] >> v & 1) != (rng.random() < 0.5):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    return Graph(g.n, tuple(rows))
+
+
+def test_is_automorphism_matches_permute_graph():
+    # Densities 0.1-0.9 run both the sparse branch and the one through
+    # complements; sigma is a random permutation, a product of returned
+    # generators or a transposition of twins, and may read only the rows of
+    # the points it moves.
+    rng = random.Random(37)
+    outcomes = []
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(24):
+            n = rng.randint(2, 24)
+            g = random_graph(rng, n, density)
+            g = plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))])
+            twins = [
+                (u, v)
+                for u, v in itertools.combinations(range(n), 2)
+                if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
+            ]
+            gens = automorphism_generators(g)
+            sigmas = [random_permutation(rng, n) for _ in range(4)]
+            for _ in range(4 if gens else 0):
+                product = Permutation.identity(n)
+                for gen in rng.choices(gens, k=rng.randint(1, 3)):
+                    product = product.compose(gen)
+                sigmas.append(product)
+            for u, v in twins[:4]:
+                image = list(range(n))
+                image[u], image[v] = v, u
+                sigmas.append(Permutation(tuple(image)))
+            for sigma in sigmas:
+                support = [v for v in range(n) if sigma(v) != v]
+                fixes = canon._is_automorphism(RowsOf(g.rows, support), sigma.image, support)
+                assert fixes == (permute_graph(g, sigma) == g)
+                outcomes.append((density, fixes))
+    for density in (0.1, 0.9):
+        assert (density, True) in outcomes and (density, False) in outcomes
 
 
 def test_are_isomorphic_hard_pairs():
     # Strongly regular pairs with equal parameters: refinement leaves each
-    # graph one cell, so only the search tells them apart.  The Chang graph
-    # is T(8) switched on the pairs of a perfect matching of K8.
+    # graph one cell, so only the search tells them apart.
     rng = random.Random(33)
-    t8 = triangular(8)
-    pairs = list(itertools.combinations(range(8), 2))
-    chang = seidel_switch(t8, [pairs.index((a, a + 1)) for a in range(0, 8, 2)])
     rook = cartesian_product(Graph.complete(4), Graph.complete(4))
-    for g, g_order, h, h_order in [(rook, 1152, shrikhande(), 192), (t8, 40320, chang, 384)]:
+    for g, g_order, h, h_order in [(rook, 1152, shrikhande(), 192), (triangular(8), 40320, chang(), 384)]:
         assert not are_isomorphic(g, h)
         for graph, order in [(g, g_order), (h, h_order)]:
             results = [canonical_label(permute_graph(graph, random_permutation(rng, graph.n))) for _ in range(3)]

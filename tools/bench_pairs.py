@@ -12,9 +12,11 @@ next.  Each tree runs its own ``perfbench/`` and its own ``src/``.
 The JSON written to ``--out`` holds every run's result line (the last line
 ``run.py`` prints) and its pass count (from
 ``.perfbench/<workload>-seed<seed>-trace0.json``), and, per workload and
-end-to-end metric, each side's median and quartiles and the number of pairs
-the working tree won, next to each side's failed operations and whether every
-run was correct.  A run that exits non-zero is kept with its exit code and the
+end-to-end metric, each side's median and quartiles, the number of pairs
+the working tree won, the relative change of the median and whether it is
+worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``, one
+stderr line per such metric), next to each side's failed operations and
+whether every run was correct.  A run that exits non-zero is kept with its exit code and the
 last lines of its stderr, counts as not correct, and the pairs go on; metrics
 are summarised over the pairs whose two runs both finished.  It exits 1 when
 any run was not correct.  The working tree is named by its HEAD, whether it
@@ -104,6 +106,10 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": sum(sign * (c - a) < 0 for a, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        a, c = out[name]["parent"]["median"], out[name]["change"]["median"]
+        out[name]["median_change"] = (c - a) / a if a else None
+        if "bound" in metric:
+            out[name]["over_bound"] = sign * (c - a) > metric["bound"] * abs(a)
     return out
 
 
@@ -152,6 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
+    for workload, entry in bench["workloads"].items():
+        for metric in metrics:
+            summary = entry["summary"].get(metric["name"])
+            if summary and summary.get("over_bound"):
+                change = summary["median_change"]
+                said = "from 0" if change is None else f"{change:+.1%}"
+                print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
     wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, entry["runs"]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
