@@ -45,7 +45,7 @@ def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False):
 
 
 def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
-    proc, entry = bench_stub(tmp_path, [{"name": "wall_s", "better": "lower"}], {"wall_s": 1.0}, fail_first=True)
+    proc, entry = bench_stub(tmp_path, [{"name": "wall_s", "better": "lower", "bound": 0.25}], {"wall_s": 1.0}, fail_first=True)
     assert proc.returncode == 1, proc.stderr
     first, later = entry["runs"][:2], entry["runs"][2:]
     assert [r["side"] for r in first] == ["parent", "change"]

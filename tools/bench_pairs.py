@@ -108,8 +108,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         }
         a, c = out[name]["parent"]["median"], out[name]["change"]["median"]
         out[name]["median_change"] = (c - a) / a if a else None
-        if "bound" in metric:
-            out[name]["over_bound"] = sign * (c - a) > metric["bound"] * abs(a)
+        out[name]["over_bound"] = sign * (c - a) > metric["bound"] * abs(a)
     return out
 
 
@@ -161,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in bench["workloads"].items():
         for metric in metrics:
             summary = entry["summary"].get(metric["name"])
-            if summary and summary.get("over_bound"):
+            if summary and summary["over_bound"]:
                 change = summary["median_change"]
                 said = "from 0" if change is None else f"{change:+.1%}"
                 print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
