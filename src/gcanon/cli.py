@@ -59,14 +59,9 @@ def _fail(message: str, code: int = 2) -> NoReturn:
 def _graph_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(stream, start=1):
         line = codec.strip_line_end(raw)
-        if lineno == 1:
-            stripped_header = False
-            for header in (">>graph6<<", ">>sparse6<<"):
-                if line.startswith(header):
-                    line = line[len(header) :]
-                    stripped_header = True
-                    break
-            if stripped_header and not line:
+        if lineno == 1 and line.startswith((">>graph6<<", ">>sparse6<<")):
+            line = line.partition("<<")[2]
+            if not line:
                 continue
         yield lineno, line
 

@@ -1,14 +1,14 @@
 """Exhaustive enumeration of non-isomorphic graphs and seeded random sampling.
 
-Enumeration grows graphs one vertex at a time: every class on k-1 vertices is
-extended by attaching the new vertex to each possible neighbourhood, and the
-children are deduplicated by canonical form.  Generation may be restricted
-by any ``GraphFilter``.  Its hereditary clauses, which every induced subgraph
-of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c), prune
-the neighbourhoods on every level.  Only the residual clauses, those the
+Enumeration adds one vertex at a time, joined to each possible neighbourhood,
+depth first: a child whose canonical form is new on its level is extended at
+once, with the automorphism generators its own search found.  Generation may be
+restricted by any ``GraphFilter``.  Its hereditary clauses, which every induced
+subgraph of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c),
+prune the neighbourhoods on every level.  Only the residual clauses, those the
 pruning does not settle on every output graph (Connected, Connectivity,
-positive lower bounds, negations, Bipartite=false), are then evaluated on
-the final level; with none left, no ``Graph`` is built there.
+positive lower bounds, negations, Bipartite=false), are then evaluated on the
+final level; with none left, no ``Graph`` is built there.
 
 Before any canonical form is computed, a child is dropped unless its new
 vertex maximises f(v) = (deg v, sum of deg u over the neighbours u of v),
@@ -19,23 +19,24 @@ deg i + [i in m] and neighbour-degree sum nsum i + |N(i) & m| + [i in m]·|m|,
 with deg and nsum (the sum of deg over N(i)) taken in the parent.
 No class is lost.  Every class X has a vertex v that maximises f in X, and
 X arises from X - v.  X - v, an induced subgraph, keeps the hereditary
-clauses, so it was generated on the level below as a parent P in which the
+clauses, so it was generated, in some labelling, as a parent P in which the
 neighbourhood of v is some ``m`` that survives their pruning; the child of
 P and ``m`` is X, and f is preserved by isomorphism, so ``m`` passes the
 test.  The test commutes with taking one neighbourhood per orbit: an
 automorphism s of P extends, fixing the new vertex, to an isomorphism from
 the child of ``m`` to the child of s(m), so the kept masks are a union of
-orbits and one representative of each still reaches every class.  When at
-most one mask survives there is nothing to choose between, so P's
-automorphism search is skipped.  The key set still removes the remaining duplicates, so the output
-is unchanged.  The test is a cheap case of McKay's canonical augmentation
-(*Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).
+orbits and one representative of each still reaches every class.  The test
+reads degrees only, so P need not be canonical, and the key set of each level
+removes the remaining duplicates.  The test is a cheap case of McKay's
+canonical augmentation (*Isomorph-free exhaustive generation*, J. Algorithms
+26, 1998).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import canon, codec
 from .core import Graph, bipartition_masks, bits, check_vertex_count, component_masks
@@ -150,7 +151,7 @@ def _hereditary_bounds(constraints: GraphFilter) -> tuple[tuple[bool, int | None
 
 
 def _neighbourhood_masks(
-    parent: tuple[int, ...], bipartite: bool, max_edges: int | None, max_cycles: int | None
+    parent: Sequence[int], bipartite: bool, max_edges: int | None, max_cycles: int | None
 ) -> list[int]:
     # The new neighbourhood is a product of choices, one per parent component.
     # The child stays bipartite iff each choice sits wholly inside one side of
@@ -179,7 +180,7 @@ def _neighbourhood_masks(
     return [mask for mask, _ in ranked if mask.bit_count() <= edge_budget]
 
 
-def _new_vertex_maximises_f(parent: tuple[int, ...], masks: list[int]) -> list[int]:
+def _new_vertex_maximises_f(parent: Sequence[int], masks: list[int]) -> list[int]:
     # The masks whose new vertex maximises f in the child, ties allowed, with
     # the scores of the module docstring.  Only a parent vertex whose child
     # degree equals |m| can beat the new vertex on the second component.
@@ -212,22 +213,26 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
     check_vertex_count(n)
     bounds, residual = _hereditary_bounds(constraints or GraphFilter())
 
-    keys = {0}  # the 1-vertex graph
-    for k in range(2, n + 1):
-        parents = [tuple(codec.rows_from_key(k - 1, key)) for key in sorted(keys)]
-        keys = set()
-        new_bit = 1 << (k - 1)
-        for parent in parents:
-            masks = _new_vertex_maximises_f(parent, _neighbourhood_masks(parent, *bounds))
-            gens = canon.search(k - 1, parent).generators if len(masks) > 1 else []
-            for mask in _orbit_reps(masks, gens):
-                child = [parent[i] | (new_bit if (mask >> i) & 1 else 0) for i in range(k - 1)]
-                child.append(mask)
-                keys.add(canon.search(k, child).key)
+    keys = [{0} if k == 1 else set() for k in range(n + 1)]  # the canonical keys on k vertices
 
+    def extend(parent: list[int], gens: list[tuple[int, ...]]) -> None:
+        k = len(parent) + 1
+        new_bit = 1 << (k - 1)
+        masks = _new_vertex_maximises_f(parent, _neighbourhood_masks(parent, *bounds))
+        for mask in _orbit_reps(masks, gens):
+            child = [row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent)]
+            child.append(mask)
+            found = canon.search(k, child)
+            if found.key not in keys[k]:
+                keys[k].add(found.key)
+                if k < n:
+                    extend(child, found.generators)
+
+    if n > 1:
+        extend([0], [])
     return [
         codec.graph6_from_key(n, key)
-        for key in sorted(keys)
+        for key in sorted(keys[n])
         if not residual.constraints or evaluate(residual, Graph(n, tuple(codec.rows_from_key(n, key))))
     ]
 

@@ -7,10 +7,12 @@ other side of dual-route checks.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from typing import Iterator
@@ -49,6 +51,26 @@ def run_module_cli(args, stdin_text="", env_extra=None):
         text=True,
         env=env,
     )
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` of wall time pass.
+
+    A search whose automorphism test or pruning is broken walks up to n!
+    leaves on a symmetric graph; under a deadline it fails instead of hanging.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

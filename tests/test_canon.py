@@ -13,6 +13,7 @@ from conftest import (
     chang,
     closure_order,
     complete_bipartite,
+    deadline,
     disjoint_union,
     hypercube,
     petersen,
@@ -233,7 +234,8 @@ def test_symmetric_cliff_sentinel():
     rng = random.Random(30)
     for g in [Graph.empty(48), Graph.complete(48), complete_bipartite(24, 24)]:
         relabelled = [permute_graph(g, random_permutation(rng, g.n)) for _ in range(2)]
-        results = [canonical_label(h) for h in relabelled]
+        with deadline(10):  # about 1 s a graph; a search that prunes nothing never ends
+            results = [canonical_label(h) for h in relabelled]
         assert results[0].canonical_graph == results[1].canonical_graph
         for h, result in zip(relabelled, results):
             for sigma in result.automorphism_generators:
@@ -248,18 +250,19 @@ def digest_searches():
     n in 12..40 and five symmetric graphs, each relabelled and searched from
     the unit cell and from two random cells."""
     rng = random.Random(34)
-    graphs = [codec.decode(line) for n in range(1, 8) for line in generate_graphs(n)]
-    graphs += [random_graph(rng, rng.randint(12, 40), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for _ in range(100)]
-    graphs += [Graph.empty(24), Graph.complete(20), complete_bipartite(12, 12), hypercube(6), disjoint_union([petersen()] * 6)]
-    found = []
-    for g in graphs:
-        h = permute_graph(g, random_permutation(rng, g.n))
-        two_cells = None
-        if h.n > 1:
-            vertices = random_permutation(rng, h.n).image
-            cut = rng.randint(1, h.n - 1)
-            two_cells = [sorted(vertices[:cut]), sorted(vertices[cut:])]
-        found += [canon.search(h.n, h.rows, cells) for cells in (None, two_cells)]
+    with deadline(10):  # under 1 s; a search that prunes nothing never ends
+        graphs = [codec.decode(line) for n in range(1, 8) for line in generate_graphs(n)]
+        graphs += [random_graph(rng, rng.randint(12, 40), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for _ in range(100)]
+        graphs += [Graph.empty(24), Graph.complete(20), complete_bipartite(12, 12), hypercube(6), disjoint_union([petersen()] * 6)]
+        found = []
+        for g in graphs:
+            h = permute_graph(g, random_permutation(rng, g.n))
+            two_cells = None
+            if h.n > 1:
+                vertices = random_permutation(rng, h.n).image
+                cut = rng.randint(1, h.n - 1)
+                two_cells = [sorted(vertices[:cut]), sorted(vertices[cut:])]
+            found += [canon.search(h.n, h.rows, cells) for cells in (None, two_cells)]
     return found
 
 
@@ -372,7 +375,8 @@ def test_search_packs_keys_only_at_leaves(monkeypatch):
             return key_from_rows(rows, order)
 
         monkeypatch.setattr(codec, "key_from_rows", counted)
-        found = canon.search(h.n, h.rows)
+        with deadline(10):
+            found = canon.search(h.n, h.rows)
         monkeypatch.undo()
         assert all(sorted(order) == list(range(h.n)) for order in orders)
         assert 1 <= len(orders) < found.leaves

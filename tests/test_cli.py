@@ -160,7 +160,7 @@ def test_stream_errors_carry_line_numbers(capsys):
     assert "line 1:" in capsys.readouterr().err
 
 
-def test_header_line_stripped():
+def test_header_line_stripped(capsys):
     code, out = run_cli(["count", "--filter", ""], ">>graph6<<Dhc\nD~{\n")
     assert code == 0 and out == "2\n"
     code, out = run_cli(["count", "--filter", ""], ">>graph6<<\nDhc\n")
@@ -169,6 +169,10 @@ def test_header_line_stripped():
     assert code == 0
     _, from_g6 = run_cli(["label"], "Dhc\n")
     assert out == from_g6  # same class, same canonical line, whatever its string
+    # Only the first line may carry a header; on a later line it is data.
+    code, _ = run_cli(["label"], "Dhc\n>>graph6<<Dhc\n")
+    assert code == 2
+    assert "line 2:" in capsys.readouterr().err
 
 
 def test_repro_tables():
