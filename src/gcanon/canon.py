@@ -27,12 +27,20 @@ visited.  The kept automorphisms generate the whole colour-preserving
 automorphism group (McKay, *Practical graph isomorphism*, 1981; McKay &
 Piperno, J. Symb. Comput. 60, 2014).
 
+A caller that already knows automorphisms of the coloured graph passes them
+as ``known``; the kept automorphisms start from them, so orbits are coarser
+from the first node on.  Key and best leaf stay: a skipped subtree is still
+the image, under an automorphism fixing the path, of a sibling subtree
+explored before it, so the first leaf with the greatest key, which no later
+leaf replaces, is never skipped.  The seeds and the kept automorphisms still
+generate the whole group.
+
 ``search`` is the one entry point that walks this tree; every caller reads
 its result by field name from the record ``_Search``:
 
 - ``key``: the canonical upper-triangle bit-vector (see ``codec``);
 - ``order``: the vertices in canonical position order (the best leaf);
-- ``generators``: the kept automorphisms, as image tuples;
+- ``generators``: the known automorphisms, then the kept ones, as image tuples;
 - ``leaves``: the number of leaves visited.
 
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
@@ -172,16 +180,29 @@ def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterabl
     return True
 
 
-def search(n: int, rows: Sequence[int], cells: list[list[int]] | None = None, *, prune: bool = True) -> _Search:
+def search(
+    n: int,
+    rows: Sequence[int],
+    cells: list[list[int]] | None = None,
+    *,
+    prune: bool = True,
+    known: Iterable[tuple[int, ...]] = (),
+) -> _Search:
     """Search from sorted cells (None: the unit cell), refined in place.
 
     ``prune=False`` disables orbit pruning: the same key, order and group
     from more leaves.  It exists as the reference that tests compare
     pruning against.
+
+    ``known`` holds automorphisms the caller already has, as image tuples;
+    the caller vouches that each maps the graph and every input cell onto
+    itself, since nothing checks it.  They prune from the first node on and
+    change neither key nor order (see the module docstring).
     """
     cells = [list(range(n))] if cells is None else cells
-    gens: list[tuple[int, ...]] = []
-    moved: list[tuple[int, list[int]]] = []  # per generator, the mask and the list of the vertices it moves
+    gens = list(known)
+    # per generator, the mask and the list of the vertices it moves
+    moved = [(_mask(s), s) for s in ([v for v, w in enumerate(g) if v != w] for g in gens)]
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
     base: list[int] = []
     best_key = -1

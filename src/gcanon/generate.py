@@ -30,6 +30,13 @@ reads degrees only, so P need not be canonical, and the key set of each level
 removes the remaining duplicates.  The test is a cheap case of McKay's
 canonical augmentation (*Isomorph-free exhaustive generation*, J. Algorithms
 26, 1998).
+
+A child's search starts from the parent generators s with s(m) = m, each
+extended to fix the new vertex: such an s maps the child onto itself, since
+it maps the parent onto itself and the new vertex's neighbourhood onto
+s(m) = m.  ``canon.search`` takes them as ``known`` and visits fewer leaves
+for the same key and the same group, so the key sets still remove the
+duplicates and the next level takes the same representatives.
 """
 
 from __future__ import annotations
@@ -104,17 +111,20 @@ def _apply_to_mask(g: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[int]:
-    # One neighbourhood per orbit under the parent's automorphisms; children
-    # of orbit-equivalent neighbourhoods are isomorphic, so reps suffice.
+def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[tuple[int, list[tuple[int, ...]]]]:
+    # One neighbourhood per orbit under the parent's automorphisms, each with
+    # the generators that map it onto itself; children of orbit-equivalent
+    # neighbourhoods are isomorphic, so reps suffice.  The walk from a rep
+    # pops the rep first, so its stabilising generators are read there.
     if not gens:
-        return list(masks)
+        return [(m, []) for m in masks]
     seen: set[int] = set()
     reps = []
     for m in masks:
         if m in seen:
             continue
-        reps.append(m)
+        fixing: list[tuple[int, ...]] = []
+        reps.append((m, fixing))
         stack = [m]
         seen.add(m)
         while stack:
@@ -124,6 +134,8 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[int]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
+                elif x == y == m:
+                    fixing.append(g)
     return reps
 
 
@@ -219,10 +231,10 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
         k = len(parent) + 1
         new_bit = 1 << (k - 1)
         masks = _new_vertex_maximises_f(parent, _neighbourhood_masks(parent, *bounds))
-        for mask in _orbit_reps(masks, gens):
+        for mask, fixing in _orbit_reps(masks, gens):
             child = [row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent)]
             child.append(mask)
-            found = canon.search(k, child)
+            found = canon.search(k, child, known=[g + (k - 1,) for g in fixing])
             if found.key not in keys[k]:
                 keys[k].add(found.key)
                 if k < n:

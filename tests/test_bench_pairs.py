@@ -18,22 +18,25 @@ if stub["fail_first"] and not os.path.exists(".perfbench/ran"):
     print("stub: first run fails", file=sys.stderr)
     sys.exit(3)
 with open(f".perfbench/{workload}-seed{seed}-trace0.json", "w") as fh:
-    json.dump({"passes": 2, "environment": {"loadavg_1m": 0.0}}, fh)
+    json.dump({"passes": stub["passes"], "environment": {"loadavg_1m": 0.0}}, fh)
 metrics = {name: {"value": value} for name, value in stub["metrics"].items()}
 print(json.dumps({"metrics": metrics, "correct": True, "failed": 0}))
 """
 
 
-def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False):
-    """Commit a stub benchmark printing the parent metrics, leave the working tree printing the change ones, run the tool."""
+def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False, passes=(2, 2)):
+    """Commit a stub benchmark printing the parent metrics, leave the working tree printing the change ones, run the tool.
+
+    Each side's runs report its entry of passes as their pass count.
+    """
     os.makedirs(tmp_path / "perfbench")
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
     stub = tmp_path / "perfbench" / "stub.json"
-    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent}))
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent, "passes": passes[0]}))
     for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=stub", "-c", "user.email=stub@example.com", "commit", "-qm", "stub"]):
         subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
-    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent}))
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent, "passes": passes[1]}))
     out = tmp_path / "pairs.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"), "HEAD", "symmetric:2", "--out", str(out)],
@@ -56,9 +59,12 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     summary = entry["summary"]
     assert summary["parent"] == summary["change"] == {"failed": 0, "correct": False}
     assert summary["wall_s"]["pairs"] == 1
+    assert summary["passes"] == {side: {"median": 2, "q1": 2, "q3": 2} for side in ("parent", "change")}
 
 
 def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
+    # A peak_rss_mb rise that comes with more retained passes reads off the
+    # summary and the stderr line alike.
     end_to_end = [
         {"name": "wall_s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
@@ -66,12 +72,13 @@ def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
     ]
     parent = {"wall_s": 2.0, "peak_rss_mb": 20.0, "per_s": 100.0}
     change = {"wall_s": 1.0, "peak_rss_mb": 23.0, "per_s": 150.0}
-    proc, entry = bench_stub(tmp_path, end_to_end, parent, change)
+    proc, entry = bench_stub(tmp_path, end_to_end, parent, change, passes=(4, 6))
     assert proc.returncode == 0, proc.stderr
     summary = entry["summary"]
     assert (summary["wall_s"]["median_change"], summary["wall_s"]["over_bound"]) == (-0.5, False)
     assert summary["peak_rss_mb"]["median_change"] == 0.15 and summary["peak_rss_mb"]["over_bound"]
     assert (summary["per_s"]["median_change"], summary["per_s"]["over_bound"]) == (0.5, False)
+    assert summary["passes"] == {"parent": {"median": 4, "q1": 4, "q3": 4}, "change": {"median": 6, "q1": 6, "q3": 6}}
     assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
-        "over bound: symmetric peak_rss_mb median +15.0%, bound 10%"
+        "over bound: symmetric peak_rss_mb median +15.0% (20 -> 23, passes 4 -> 6), bound 10%"
     ]

@@ -445,6 +445,68 @@ def test_is_automorphism_matches_permute_graph():
         assert (density, True) in outcomes and (density, False) in outcomes
 
 
+def test_known_automorphisms_keep_key_and_order():
+    # Seeding a search with automorphisms it would find anyway changes only
+    # the leaves it visits and the generators it keeps: the key, the best leaf
+    # and the group stay.  Seeds are random subsets of the plain search's
+    # generators, or products of them.  The ladder pieces are those whose
+    # group is small enough to close.  A seeded search visits at most the
+    # leaves of an unpruned one, but it can visit more than the plain one:
+    # the last case, a relabelled 3xC4 seeded with one of its plain
+    # generators and two products of them, visits 20 leaves against 18,
+    # because a sigma that joins no orbit at its own level is dropped and so
+    # cannot prune deeper on another path.
+    rng = random.Random(38)
+    cases = []
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(12):
+            n = rng.randint(2, 10)
+            g = random_graph(rng, n, density)
+            cases.append((plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]), None, None))
+    census = [codec.decode(line) for n in range(1, 7) for line in generate_graphs(n)]
+    ladder = [
+        Graph.cycle(24),
+        hypercube(4),
+        petersen(),
+        disjoint_union([petersen()] * 2),
+        disjoint_union([Graph.complete(3)] * 3),
+        disjoint_union([Graph.cycle(4)] * 3),
+        complete_bipartite(4, 4),
+        cartesian_product(Graph.path(4), Graph.path(6)),
+        Graph.empty(7),
+        Graph.complete(7),
+    ]
+    cases += [(permute_graph(g, random_permutation(rng, g.n)), None, None) for g in census + ladder]
+    two_cells = permute_graph(disjoint_union([Graph.cycle(4)] * 3), random_permutation(rng, 12))
+    vertices = random_permutation(rng, 12).image
+    cases.append((two_cells, [sorted(vertices[:4]), sorted(vertices[4:])], None))
+    more_leaves = Graph(12, (96, 1280, 2560, 2560, 1280, 129, 129, 96, 18, 12, 18, 12))
+    cases.append((more_leaves, None, [(0, 2, 1, 4, 3, 5, 6, 7, 9, 8, 11, 10), (0, 1, 3, 2, 4, 5, 6, 7, 10, 11, 8, 9), (0, 1, 2, 3, 4, 6, 5, 7, 10, 11, 8, 9)]))
+    seeded = 0
+    for g, cells, known in cases:
+        plain, unpruned = (
+            canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], prune=prune) for prune in (True, False)
+        )
+        if known is None:
+            perms = [Permutation(p) for p in plain.generators]
+            known = [p.image for p in rng.sample(perms, rng.randint(0, len(perms)))]
+            for _ in range(rng.randint(0, 2) if perms else 0):
+                product = Permutation.identity(g.n)
+                for p in rng.choices(perms, k=rng.randint(1, 3)):
+                    product = product.compose(p)
+                known.append(product.image)
+        seeded += bool(known)
+        found = canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], known=known)
+        assert (found.key, found.order) == (plain.key, plain.order), (g, known)
+        assert found.generators[: len(known)] == known
+        colouring = Colouring(tuple(cells or [range(g.n)]))
+        for sigma in map(Permutation, found.generators):
+            assert permute_graph(g, sigma) == g and is_colour_preserving(sigma, colouring)
+        assert closure_order(found.generators, g.n) == closure_order(plain.generators, g.n)
+        assert found.leaves <= unpruned.leaves
+    assert seeded > len(cases) // 2
+
+
 def test_are_isomorphic_hard_pairs():
     # Strongly regular pairs with equal parameters: refinement leaves each
     # graph one cell, so only the search tells them apart.

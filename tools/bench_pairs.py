@@ -15,8 +15,9 @@ The JSON written to ``--out`` holds every run's result line (the last line
 end-to-end metric, each side's median and quartiles, the number of pairs
 the working tree won, the relative change of the median and whether it is
 worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``, one
-stderr line per such metric), next to each side's failed operations and
-whether every run was correct.  A run that exits non-zero is kept with its exit code and the
+stderr line per such metric, naming both medians and both median pass
+counts), next to each side's failed operations, whether every run was
+correct, and each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
 last lines of its stderr, counts as not correct, and the pairs go on; metrics
 are summarised over the pairs whose two runs both finished.  It exits 1 when
 any run was not correct.  The working tree is named by its HEAD, whether it
@@ -83,7 +84,10 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
 
     A win only counts beside ``failed`` and ``correct``: each side's failed
     operations over its finished runs, and whether every one of its runs
-    finished and passed.  Only pairs whose two runs finished are summarised.
+    finished and passed.  Only pairs whose two runs finished are summarised,
+    and ``passes`` gives each side's pass-count spread over them: a side that
+    fits more passes in the window retains more of them, which raises
+    ``peak_rss_mb``.
     """
     result = {(r["pair"], r["side"]): r["result"] for r in runs if r["result"] is not None}
     out = {
@@ -96,6 +100,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     pairs = sorted(p for p, side in result if side == "parent" and (p, "change") in result)
     if not pairs:
         return out
+    passes = {(r["pair"], r["side"]): r["passes"] for r in runs if r["result"] is not None}
+    out["passes"] = {side: spread([passes[p, side] for p in pairs]) for side in SIDES}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [result[p, "parent"]["metrics"][name]["value"] for p in pairs]
@@ -163,7 +169,12 @@ def main(argv: list[str] | None = None) -> int:
             if summary and summary["over_bound"]:
                 change = summary["median_change"]
                 said = "from 0" if change is None else f"{change:+.1%}"
-                print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
+                medians = " -> ".join(f"{summary[side]['median']:.4g}" for side in SIDES)
+                passes = " -> ".join(f"{entry['summary']['passes'][side]['median']:g}" for side in SIDES)
+                print(
+                    f"over bound: {workload} {metric['name']} median {said} ({medians}, passes {passes}), bound {metric['bound']:.0%}",
+                    file=sys.stderr,
+                )
     wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, entry["runs"]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
