@@ -462,7 +462,8 @@ def test_known_automorphisms_keep_key_and_order():
         for _ in range(12):
             n = rng.randint(2, 10)
             g = random_graph(rng, n, density)
-            cases.append((plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]), None, None))
+            twins = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+            cases.append((plant_twins(rng, g, twins), None, None))
     census = [codec.decode(line) for n in range(1, 7) for line in generate_graphs(n)]
     ladder = [
         Graph.cycle(24),
@@ -481,12 +482,18 @@ def test_known_automorphisms_keep_key_and_order():
     vertices = random_permutation(rng, 12).image
     cases.append((two_cells, [sorted(vertices[:4]), sorted(vertices[4:])], None))
     more_leaves = Graph(12, (96, 1280, 2560, 2560, 1280, 129, 129, 96, 18, 12, 18, 12))
-    cases.append((more_leaves, None, [(0, 2, 1, 4, 3, 5, 6, 7, 9, 8, 11, 10), (0, 1, 3, 2, 4, 5, 6, 7, 10, 11, 8, 9), (0, 1, 2, 3, 4, 6, 5, 7, 10, 11, 8, 9)]))
+    seeds = [
+        (0, 2, 1, 4, 3, 5, 6, 7, 9, 8, 11, 10),
+        (0, 1, 3, 2, 4, 5, 6, 7, 10, 11, 8, 9),
+        (0, 1, 2, 3, 4, 6, 5, 7, 10, 11, 8, 9),
+    ]
+    cases.append((more_leaves, None, seeds))
     seeded = 0
     for g, cells, known in cases:
-        plain, unpruned = (
-            canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], prune=prune) for prune in (True, False)
-        )
+        def search(**options):
+            return canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], **options)
+
+        plain, unpruned = search(), search(prune=False)
         if known is None:
             perms = [Permutation(p) for p in plain.generators]
             known = [p.image for p in rng.sample(perms, rng.randint(0, len(perms)))]
@@ -496,7 +503,7 @@ def test_known_automorphisms_keep_key_and_order():
                     product = product.compose(p)
                 known.append(product.image)
         seeded += bool(known)
-        found = canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], known=known)
+        found = search(known=known)
         assert (found.key, found.order) == (plain.key, plain.order), (g, known)
         assert found.generators[: len(known)] == known
         colouring = Colouring(tuple(cells or [range(g.n)]))

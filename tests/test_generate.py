@@ -49,13 +49,13 @@ def counted_generation(n, constraints):
     """``generate_graphs(n, constraints)`` and its canonical searches, each as
     (vertex count, rows, the automorphisms it was seeded with, its record)."""
     searches = []
+    real_search = canon.search
 
     def search(k, rows, cells=None, **options):
         found = real_search(k, rows, cells, **options)
         searches.append((k, rows, options.get("known", ()), found))
         return found
 
-    real_search = canon.search
     with mock.patch.object(canon, "search", search):
         lines = generate_graphs(n, constraints)
     return lines, searches

@@ -100,8 +100,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     pairs = sorted(p for p, side in result if side == "parent" and (p, "change") in result)
     if not pairs:
         return out
-    passes = {(r["pair"], r["side"]): r["passes"] for r in runs if r["result"] is not None}
-    out["passes"] = {side: spread([passes[p, side] for p in pairs]) for side in SIDES}
+    out["passes"] = {
+        side: spread([r["passes"] for r in runs if r["side"] == side and r["pair"] in pairs]) for side in SIDES
+    }
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [result[p, "parent"]["metrics"][name]["value"] for p in pairs]
@@ -171,10 +172,8 @@ def main(argv: list[str] | None = None) -> int:
                 said = "from 0" if change is None else f"{change:+.1%}"
                 medians = " -> ".join(f"{summary[side]['median']:.4g}" for side in SIDES)
                 passes = " -> ".join(f"{entry['summary']['passes'][side]['median']:g}" for side in SIDES)
-                print(
-                    f"over bound: {workload} {metric['name']} median {said} ({medians}, passes {passes}), bound {metric['bound']:.0%}",
-                    file=sys.stderr,
-                )
+                said += f" ({medians}, passes {passes})"
+                print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
     wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, entry["runs"]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
