@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from . import codec
-from .core import Colouring, Graph, Permutation
+from .core import Colouring, Graph, Permutation, permute_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,25 +170,20 @@ def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterabl
         if row.bit_count() * 2 > n:
             row ^= full
             target ^= full
-        image = 0
-        while row:
-            low = row & -row
-            image |= 1 << sigma[low.bit_length() - 1]
-            row ^= low
-        if image != target:
+        if permute_mask(sigma, row) != target:
             return False
     return True
 
 
 def search(
-    n: int,
     rows: Sequence[int],
     cells: list[list[int]] | None = None,
     *,
     prune: bool = True,
     known: Iterable[tuple[int, ...]] = (),
 ) -> _Search:
-    """Search from sorted cells (None: the unit cell), refined in place.
+    """Search the graph with adjacency rows ``rows`` from sorted cells (None:
+    the unit cell), refined in place; the vertex count is ``len(rows)``.
 
     ``prune=False`` disables orbit pruning: the same key, order and group
     from more leaves.  It exists as the reference that tests compare
@@ -199,6 +194,7 @@ def search(
     itself, since nothing checks it.  They prune from the first node on and
     change neither key nor order (see the module docstring).
     """
+    n = len(rows)
     cells = [list(range(n))] if cells is None else cells
     gens = list(known)
     # per generator, the mask and the list of the vertices it moves
@@ -303,7 +299,7 @@ def canonical_label(graph: Graph, colouring: Colouring | None = None) -> CanonRe
     maps the input colouring onto consecutive blocks, and the returned
     automorphism generators fix both graph and colouring.
     """
-    found = search(graph.n, graph.rows, _cells_for(graph, colouring))
+    found = search(graph.rows, _cells_for(graph, colouring))
     image = [0] * graph.n
     for position, v in enumerate(found.order):
         image[v] = position
@@ -335,7 +331,7 @@ def are_isomorphic(
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return search(g.n, g.rows, g_cells).key == search(h.n, h.rows, h_cells).key
+    return search(g.rows, g_cells).key == search(h.rows, h_cells).key
 
 
 def automorphism_generators(graph: Graph, colouring: Colouring | None = None) -> list[Permutation]:
@@ -360,7 +356,7 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     for index, item in enumerate(items):
         try:
             graph = item if isinstance(item, Graph) else codec.decode(item)
-            key = (graph.n, search(graph.n, graph.rows).key)
+            key = (graph.n, search(graph.rows).key)
         except ValueError as exc:
             exc.args = (f"item {index}: {exc}",)
             raise

@@ -95,7 +95,7 @@ def _cmd_rand(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 def _cmd_label(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     for lineno, line in _graph_lines(stdin):
         graph = _decode_line(lineno, line)
-        out.write(codec.graph6_from_key(graph.n, canon.search(graph.n, graph.rows).key) + "\n")
+        out.write(codec.graph6_from_key(graph.n, canon.search(graph.rows).key) + "\n")
     return 0
 
 
@@ -103,7 +103,7 @@ def _cmd_short(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     seen: set[tuple[int, int]] = set()
     for lineno, line in _graph_lines(stdin):
         graph = _decode_line(lineno, line)
-        key = (graph.n, canon.search(graph.n, graph.rows).key)
+        key = (graph.n, canon.search(graph.rows).key)
         if key not in seen:
             seen.add(key)
             out.write(line + "\n")

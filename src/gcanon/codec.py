@@ -1,6 +1,8 @@
 """Graph6 and Sparse6 string codecs.
 
-Both formats pack 6-bit groups into printable bytes 63..126.  Graph6 stores
+Both formats pack 6-bit groups into printable bytes 63..126, and share one
+packer (``_pack``) and one unpacker (``_unpack``) for the vertex-count
+header and the payload alike.  Graph6 stores
 the upper triangle of the adjacency matrix in column order (0,1), (0,2),
 (1,2), (0,3), ...; Sparse6 starts with ':' and stores an edge stream.  The
 upper-triangle bit-vector doubles as an integer sort key: the first pair is
@@ -56,31 +58,42 @@ def rows_from_key(n: int, key: int) -> list[int]:
     return rows
 
 
-def _encode_n(n: int) -> str:
-    if n <= 62:
-        return chr(n + 63)
-    # 63 <= n <= 258047: '~' then 18 bits in three 6-bit groups
-    return "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+def _pack(x: int, nbits: int) -> str:
+    """The nbits-bit number x, zero-padded on the right to whole 6-bit groups, as bytes 63..126."""
+    pad = (-nbits) % 6
+    x <<= pad
+    return "".join([chr(63 + ((x >> shift) & 63)) for shift in range(nbits + pad - 6, -1, -6)])
 
 
-def _group_at(s: str, pos: int) -> int:
-    if pos >= len(s):
+def _unpack(s: str, start: int, end: int) -> int:
+    """The 6-bit groups s[start:end] as one number, the first group most significant.
+
+    A byte outside 63..126 fails at its offset; a string that ends before
+    ``end`` fails at its length.
+    """
+    x = 0
+    for pos in range(start, min(end, len(s))):
+        value = ord(s[pos]) - 63
+        if not 0 <= value <= 63:
+            raise CodecError(f"invalid byte {ord(s[pos])}", offset=pos)
+        x = (x << 6) | value
+    if end > len(s):
         raise CodecError("truncated graph string", offset=len(s))
-    value = ord(s[pos]) - 63
-    if not 0 <= value <= 63:
-        raise CodecError(f"invalid byte {ord(s[pos])}", offset=pos)
-    return value
+    return x
+
+
+def _encode_n(n: int) -> str:
+    # 63 <= n <= 258047: '~' then 18 bits in three 6-bit groups
+    return _pack(n, 6) if n <= 62 else "~" + _pack(n, 18)
 
 
 def _decode_n(s: str, pos: int) -> tuple[int, int]:
-    n = _group_at(s, pos)
+    n = _unpack(s, pos, pos + 1)
     end = pos + 1
     if n == 63:
         if pos + 1 < len(s) and s[pos + 1] == "~":
             raise CodecError("8-byte vertex-count headers are not supported", offset=pos)
-        n = 0
-        for i in range(1, 4):
-            n = (n << 6) | _group_at(s, pos + i)
+        n = _unpack(s, pos + 1, pos + 4)
         if n <= 62:
             raise CodecError("non-minimal vertex-count header", offset=pos)
         end = pos + 4
@@ -88,17 +101,9 @@ def _decode_n(s: str, pos: int) -> tuple[int, int]:
     return n, end
 
 
-def graph6_payload(n: int, key: int) -> str:
-    """The R(x) byte groups for an upper-triangle bit-vector."""
-    nbits = triangle_bits(n)
-    pad = (-nbits) % 6
-    x = key << pad
-    nbytes = (nbits + pad) // 6
-    return "".join(chr(63 + ((x >> (6 * (nbytes - 1 - i))) & 63)) for i in range(nbytes))
-
-
 def graph6_from_key(n: int, key: int) -> str:
-    return _encode_n(n) + graph6_payload(n, key)
+    """The Graph6 string of the graph on n vertices whose upper-triangle bit-vector is key."""
+    return _encode_n(n) + _pack(key, triangle_bits(n))
 
 
 def encode_graph6(graph: Graph) -> str:
@@ -110,41 +115,23 @@ def encode_sparse6(graph: Graph) -> str:
     """The Sparse6 string of a graph."""
     n = graph.n
     k = max(1, (n - 1).bit_length())
-    bits: list[int] = []
-
-    def emit(x: int) -> None:
-        for i in range(k - 1, -1, -1):
-            bits.append((x >> i) & 1)
-
-    cur = 0
+    step = k + 1  # one (b, x) unit: a bit b, then k bits of x
+    stream = nbits = cur = 0
     for u, v in sorted((max(e), min(e)) for e in graph.edges()):
-        if u == cur:
-            bits.append(0)
-            emit(v)
-        elif u == cur + 1:
-            cur += 1
-            bits.append(1)
-            emit(v)
-        else:
+        if u > cur + 1:  # b = 1, x = u makes u the current vertex
+            stream = (stream << step) | (1 << k) | u
+            nbits += step
             cur = u
-            bits.append(1)
-            emit(u)
-            bits.append(0)
-            emit(v)
+        # b = 1 steps on from vertex u - 1, b = 0 stays at u
+        stream = (stream << step) | ((u - cur) << k) | v
+        nbits += step
+        cur = u
     # 1-padding would decode as the pair (1, n-1); when n = 2^k and the
     # current vertex is n-2 that pair would emit a spurious loop, so lead the
     # padding with a harmless 0 bit.
-    pad = (-len(bits)) % 6
-    if n == (1 << k) and cur == n - 2 and pad >= k + 1:
-        bits.append(0)
-    bits.extend([1] * ((-len(bits)) % 6))
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = (group << 1) | b
-        chars.append(chr(63 + group))
-    return ":" + _encode_n(n) + "".join(chars)
+    pad = (-nbits) % 6
+    ones = pad - 1 if n == (1 << k) and cur == n - 2 and pad >= k + 1 else pad
+    return ":" + _encode_n(n) + _pack((stream << pad) | ((1 << ones) - 1), nbits + pad)
 
 
 def _decode_graph6(s: str) -> Graph:
@@ -153,9 +140,7 @@ def _decode_graph6(s: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(s) - pos > nbytes:
         raise CodecError("trailing bytes after adjacency payload", offset=pos + nbytes)
-    x = 0
-    for i in range(nbytes):
-        x = (x << 6) | _group_at(s, pos + i)
+    x = _unpack(s, pos, pos + nbytes)
     pad = 6 * nbytes - nbits
     if x & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits", offset=pos + nbytes - 1)
@@ -166,11 +151,8 @@ def _decode_graph6(s: str) -> Graph:
 def _decode_sparse6(s: str) -> Graph:
     n, pos = _decode_n(s, 1)
     k = max(1, (n - 1).bit_length())
-    groups = [_group_at(s, i) for i in range(pos, len(s))]
-    nbits = 6 * len(groups)
-    stream = 0
-    for g in groups:
-        stream = (stream << 6) | g
+    nbits = 6 * (len(s) - pos)
+    stream = _unpack(s, pos, len(s))
 
     def bit(i: int) -> int:
         return (stream >> (nbits - 1 - i)) & 1

@@ -129,7 +129,7 @@ class Graph:
 
     def component_count(self) -> int:
         """Number of connected components (n for the edgeless graph on n vertices)."""
-        return len(component_masks(self.n, self.rows))
+        return len(component_masks(self.rows))
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
@@ -137,7 +137,7 @@ class Graph:
 
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
         """A proper two-colouring as a pair of vertex sets, or None if an odd cycle exists."""
-        sides = bipartition_masks(self.n, self.rows)
+        sides = bipartition_masks(self.rows)
         if sides is None:
             return None
         mask_a = 0
@@ -148,7 +148,7 @@ class Graph:
         return frozenset(bits(mask_a)), frozenset(bits(mask_b))
 
     def is_bipartite(self) -> bool:
-        return bipartition_masks(self.n, self.rows) is not None
+        return bipartition_masks(self.rows) is not None
 
     def circuit_rank(self) -> int:
         """Cyclomatic number: edges - vertices + components.  Zero iff a forest."""
@@ -308,6 +308,16 @@ class Colouring:
         return tuple(len(c) for c in self.cells)
 
 
+def permute_mask(image: Sequence[int], mask: int) -> int:
+    """The vertex mask {image[v] : v in mask}."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << image[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
     """The graph with edge {sigma(u), sigma(v)} for every edge {u, v}."""
     if len(sigma) != graph.n:
@@ -315,14 +325,7 @@ def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
     image = sigma.image
     rows = [0] * graph.n
     for v, row in enumerate(graph.rows):
-        new_row = 0
-        u = 0
-        while row:
-            if row & 1:
-                new_row |= 1 << image[u]
-            row >>= 1
-            u += 1
-        rows[image[v]] = new_row
+        rows[image[v]] = permute_mask(image, row)
     return Graph(graph.n, tuple(rows))
 
 
@@ -368,9 +371,9 @@ def _layers(rows: Sequence[int], root: int, within: int) -> list[int]:
     return layers
 
 
-def component_masks(n: int, rows: Sequence[int]) -> list[int]:
+def component_masks(rows: Sequence[int]) -> list[int]:
     """Connected components as vertex bitmasks, ordered by smallest member."""
-    unseen = (1 << n) - 1
+    unseen = (1 << len(rows)) - 1
     comps = []
     while unseen:
         comp = sum(_layers(rows, unseen & -unseen, unseen))
@@ -379,13 +382,13 @@ def component_masks(n: int, rows: Sequence[int]) -> list[int]:
     return comps
 
 
-def bipartition_masks(n: int, rows: Sequence[int]) -> list[tuple[int, int]] | None:
+def bipartition_masks(rows: Sequence[int]) -> list[tuple[int, int]] | None:
     """Per-component (side_a, side_b) bitmask pairs, or None if not bipartite.
 
     Even layers from a component's smallest vertex form side_a, so the result
     is deterministic; an edge inside a layer closes an odd cycle.
     """
-    unseen = (1 << n) - 1
+    unseen = (1 << len(rows)) - 1
     sides = []
     while unseen:
         layers = _layers(rows, unseen & -unseen, unseen)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import canon, codec
-from .core import Graph, bipartition_masks, bits, check_vertex_count, component_masks
+from .core import Graph, bipartition_masks, bits, check_vertex_count, component_masks, permute_mask
 from .filters import GraphFilter, PropertyConstraint, evaluate
 
 
@@ -102,22 +102,11 @@ def _submasks(mask: int) -> list[int]:
         s = (s - 1) & mask
 
 
-def _apply_to_mask(g: tuple[int, ...], mask: int) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << g[b.bit_length() - 1]
-        mask ^= b
-    return out
-
-
 def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[tuple[int, list[tuple[int, ...]]]]:
     # One neighbourhood per orbit under the parent's automorphisms, each with
     # the generators that map it onto itself; children of orbit-equivalent
     # neighbourhoods are isomorphic, so reps suffice.  The walk from a rep
     # pops the rep first, so its stabilising generators are read there.
-    if not gens:
-        return [(m, []) for m in masks]
     seen: set[int] = set()
     reps = []
     for m in masks:
@@ -130,7 +119,7 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[tuple[int, list[tupl
         while stack:
             x = stack.pop()
             for g in gens:
-                y = _apply_to_mask(g, x)
+                y = permute_mask(g, x)
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -175,11 +164,11 @@ def _neighbourhood_masks(
     if not bipartite and max_cycles is None:
         return [mask for mask in range(1 << m) if mask.bit_count() <= edge_budget]
     if bipartite:
-        sides = bipartition_masks(m, parent)
+        sides = bipartition_masks(parent)
         assert sides is not None  # parents were generated bipartite
         parts = [_submasks(a) + [s for s in _submasks(b) if s] for a, b in sides]
     else:
-        parts = [_submasks(comp) for comp in component_masks(m, parent)]
+        parts = [_submasks(comp) for comp in component_masks(parent)]
     cycle_budget = m if max_cycles is None else max_cycles - (edges - m + len(parts))
     ranked = [(0, 0)]  # (neighbourhood so far, circuit rank it adds)
     for choices in parts:
@@ -234,7 +223,7 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
         for mask, fixing in _orbit_reps(masks, gens):
             child = [row | new_bit if (mask >> i) & 1 else row for i, row in enumerate(parent)]
             child.append(mask)
-            found = canon.search(k, child, known=[g + (k - 1,) for g in fixing])
+            found = canon.search(child, known=[g + (k - 1,) for g in fixing])
             if found.key not in keys[k]:
                 keys[k].add(found.key)
                 if k < n:

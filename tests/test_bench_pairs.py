@@ -1,11 +1,14 @@
 """tools/bench_pairs.py on stub repositories whose benchmark prints fixed metrics."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "bench_pairs.py")
 
 STUB_RUN = """\
 import json, os, sys
@@ -31,20 +34,19 @@ def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False, pass
     """
     os.makedirs(tmp_path / "perfbench")
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "symmetric"}], "end_to_end": end_to_end}))
     stub = tmp_path / "perfbench" / "stub.json"
     stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent, "passes": passes[0]}))
-    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=stub", "-c", "user.email=stub@example.com", "commit", "-qm", "stub"]):
-        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+    commit_all(tmp_path)
     stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent, "passes": passes[1]}))
     out = tmp_path / "pairs.json"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"), "HEAD", "symmetric:2", "--out", str(out)],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
+    proc = subprocess.run([sys.executable, TOOL, "HEAD", "--out", str(out)], cwd=tmp_path, capture_output=True, text=True)
     return proc, json.loads(out.read_text())["workloads"]["symmetric"]
+
+
+def commit_all(root):
+    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=stub", "-c", "user.email=stub@example.com", "commit", "-qm", "stub"]):
+        subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
 
 
 def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
@@ -55,10 +57,10 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     for run in first:
         assert run["result"] is None and run["exit_code"] == 3
         assert run["stderr_tail"] == ["stub: first run fails"]
-    assert [r["result"]["correct"] for r in later] == [True, True]
+    assert [r["result"]["correct"] for r in later] == [True] * 18
     summary = entry["summary"]
     assert summary["parent"] == summary["change"] == {"failed": 0, "correct": False}
-    assert summary["wall_s"]["pairs"] == 1
+    assert summary["wall_s"]["pairs"] == 9
     assert summary["passes"] == {side: {"median": 2, "q1": 2, "q3": 2} for side in ("parent", "change")}
 
 
@@ -82,3 +84,24 @@ def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
     assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
         "over bound: symmetric peak_rss_mb median +15.0% (20 -> 23, passes 4 -> 6), bound 10%"
     ]
+
+
+def test_provenance_hashes_untracked_files(tmp_path):
+    # A new source file that is not committed yet is measured, so it makes the
+    # tree dirty and enters the hash; an ignored file does neither.
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / ".gitignore").write_text("build/\n")
+    commit_all(tmp_path)
+    clean = tool.provenance(str(tmp_path))
+    assert (clean["dirty"], clean["untracked"]) == (False, 0)
+    assert clean["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+    os.makedirs(tmp_path / "build")
+    (tmp_path / "build" / "out.txt").write_text("ignored")
+    assert tool.provenance(str(tmp_path)) == clean
+    (tmp_path / "new.py").write_text("x = 1\n")
+    added = tool.provenance(str(tmp_path))
+    assert (added["dirty"], added["untracked"]) == (True, 1)
+    (tmp_path / "new.py").write_text("x = 2\n")
+    assert tool.provenance(str(tmp_path))["diff_sha256"] not in (clean["diff_sha256"], added["diff_sha256"])

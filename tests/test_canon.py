@@ -144,8 +144,8 @@ def test_pruning_neutrality():
     # pruning keeps the key and the whole group.
     cases = [(g, None) for g in graphs + witnesses] + [(g, random_colouring(rng, g.n)) for g in graphs]
     for g, pi in cases:
-        fast = canon.search(g.n, g.rows, None if pi is None else cell_lists(pi))
-        slow = canon.search(g.n, g.rows, None if pi is None else cell_lists(pi), prune=False)
+        fast = canon.search(g.rows, None if pi is None else cell_lists(pi))
+        slow = canon.search(g.rows, None if pi is None else cell_lists(pi), prune=False)
         assert fast.key == slow.key
         assert fast.leaves <= slow.leaves
         order = closure_order(slow.generators, g.n)
@@ -262,7 +262,7 @@ def digest_searches():
                 vertices = random_permutation(rng, h.n).image
                 cut = rng.randint(1, h.n - 1)
                 two_cells = [sorted(vertices[:cut]), sorted(vertices[cut:])]
-            found += [canon.search(h.n, h.rows, cells) for cells in (None, two_cells)]
+            found += [canon.search(h.rows, cells) for cells in (None, two_cells)]
     return found
 
 
@@ -376,7 +376,7 @@ def test_search_packs_keys_only_at_leaves(monkeypatch):
 
         monkeypatch.setattr(codec, "key_from_rows", counted)
         with deadline(10):
-            found = canon.search(h.n, h.rows)
+            found = canon.search(h.rows)
         monkeypatch.undo()
         assert all(sorted(order) == list(range(h.n)) for order in orders)
         assert 1 <= len(orders) < found.leaves
@@ -491,7 +491,7 @@ def test_known_automorphisms_keep_key_and_order():
     seeded = 0
     for g, cells, known in cases:
         def search(**options):
-            return canon.search(g.n, g.rows, None if cells is None else [c.copy() for c in cells], **options)
+            return canon.search(g.rows, None if cells is None else [c.copy() for c in cells], **options)
 
         plain, unpruned = search(), search(prune=False)
         if known is None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,8 @@ def test_known_graph_strings():
     assert encode_graph6(C5) == "Dhc"
     assert encode_graph6(Graph.complete(5)) == "D~{"
     assert encode_graph6(Graph.empty(1)) == "@"
+    # the Sparse6 example of McKay's formats.txt: n = 7, edges 01 02 12 56
+    assert encode_sparse6(Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (5, 6)])) == ":Fa@x^"
 
 
 def test_decode_dhc_edge_list():
@@ -153,6 +156,20 @@ def test_sparse6_padding_guard_cases():
     k2 = Graph.from_edges(2, [(0, 1)])
     assert decode(encode_sparse6(k2)) == k2
     assert decode(encode_sparse6(Graph.empty(2))) == Graph.empty(2)
+
+
+def test_sparse6_bytes_match_recorded_digest():
+    # Round trips cannot pin the encoder's bytes: an encoder that writes a
+    # jump as (0, u) instead of (1, u) still decodes.  The corpus is the
+    # n <= 7 census and seeded graphs at n = 2^k - 1, 2^k and 2^k + 1, where
+    # the field width k and the padding change.  Recorded at commit 64e7d44,
+    # before Graph6 and Sparse6 shared one packer.
+    rng = random.Random(6)
+    graphs = [decode(line) for n in range(1, 8) for line in generate.generate_graphs(n)]
+    sizes = sorted({m for k in range(1, 7) for m in (2**k - 1, 2**k, 2**k + 1) if m <= 64})
+    graphs += [random_graph(rng, n, p) for n in sizes for p in (0.05, 0.2, 0.5, 0.9) for _ in range(4)]
+    text = "\n".join(encode_sparse6(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == "8b5e4ce2ca808c76b953da1f89e3bb84cff7422b490c357d087b1faaaa1952df"
 
 
 def reference_decode_n(body):

@@ -77,14 +77,17 @@ def test_permute_graph_c5_relabelling():
 
 
 def test_permute_graph_matches_edge_relabelling_oracle():
+    # The oracle maps edge sets, not vertex masks as core.permute_mask does;
+    # the sizes run from one vertex to the cap.
     rng = random.Random(101)
-    for _ in range(100):
-        g = random_graph(rng, 6)
-        sigma = random_permutation(rng, 6)
-        relabelled = permute_graph(g, sigma)
-        expected = {tuple(sorted((sigma(u), sigma(v)))) for u, v in g.edges()}
-        assert set(relabelled.edges()) == expected
-        assert relabelled.degree_sequence() == g.degree_sequence()
+    for n in (1, 2, 6, 17, 33, 64):
+        for _ in range(100):
+            g = random_graph(rng, n)
+            sigma = random_permutation(rng, n)
+            relabelled = permute_graph(g, sigma)
+            expected = {tuple(sorted((sigma(u), sigma(v)))) for u, v in g.edges()}
+            assert set(relabelled.edges()) == expected
+            assert relabelled.degree_sequence() == g.degree_sequence()
 
 
 def test_permute_graph_composition():

@@ -357,7 +357,7 @@ def test_girth_components_and_bipartition_match_networkx():
         expected_girth = nx.girth(h)
         assert girth(g) == (None if expected_girth == float("inf") else expected_girth), g
         assert g.component_count() == nx.number_connected_components(h), g
-        comps = core.component_masks(g.n, g.rows)
+        comps = core.component_masks(g.rows)
         assert [c & -c for c in comps] == sorted(c & -c for c in comps)  # ordered by smallest member
         sides = g.bipartition()
         assert (sides is not None) == nx.is_bipartite(h), g
@@ -365,7 +365,7 @@ def test_girth_components_and_bipartition_match_networkx():
             a, b = sides
             assert a | b == set(range(g.n)) and not a & b
             assert all((u in a) != (v in a) for u, v in g.edges())
-            side_masks = core.bipartition_masks(g.n, g.rows)
+            side_masks = core.bipartition_masks(g.rows)
             assert [a | b for a, b in side_masks] == comps
             assert all(comp & -comp & a for (a, _), comp in zip(side_masks, comps))  # smallest vertex in side_a
     # the sample reaches every case the oracles distinguish

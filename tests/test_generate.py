@@ -7,7 +7,7 @@ import pytest
 
 from conftest import all_labelled_graphs, closure_order, random_permutation
 from gcanon import canon, codec, generate
-from gcanon.core import Graph, Permutation, ZeroVertexError, permute_graph
+from gcanon.core import Graph, Permutation, ZeroVertexError, permute_graph, permute_mask
 from gcanon.filters import evaluate, filter_graphs, parse_filter_spec
 from gcanon.generate import GenOptions, RandomModel, generate_graphs, generate_random_graphs
 
@@ -47,13 +47,13 @@ def test_outputs_are_canonical_and_distinct():
 @functools.cache
 def counted_generation(n, constraints):
     """``generate_graphs(n, constraints)`` and its canonical searches, each as
-    (vertex count, rows, the automorphisms it was seeded with, its record)."""
+    (rows, the automorphisms it was seeded with, its record)."""
     searches = []
     real_search = canon.search
 
-    def search(k, rows, cells=None, **options):
-        found = real_search(k, rows, cells, **options)
-        searches.append((k, rows, options.get("known", ()), found))
+    def search(rows, cells=None, **options):
+        found = real_search(rows, cells, **options)
+        searches.append((rows, options.get("known", ()), found))
         return found
 
     with mock.patch.object(canon, "search", search):
@@ -68,7 +68,7 @@ def census(n):
 @functools.cache
 def brute_force_classes(n):
     """Canonical keys of every class, from all 2^C(n,2) labelled graphs."""
-    return frozenset(canon.search(n, g.rows).key for g in all_labelled_graphs(n))
+    return frozenset(canon.search(g.rows).key for g in all_labelled_graphs(n))
 
 
 def brute_force_class_keys(n, predicate=None):
@@ -229,7 +229,8 @@ def test_children_inherit_automorphisms_that_fix_the_new_vertex(constraints):
     # extended by fixing the new vertex k - 1, is an automorphism of the
     # child; the search may start from nothing else.
     seeded = 0
-    for k, rows, known, _ in counted_generation(7, constraints)[1]:
+    for rows, known, _ in counted_generation(7, constraints)[1]:
+        k = len(rows)
         child = Graph(k, tuple(rows))
         for image in known:
             assert image[k - 1] == k - 1, (rows, image)
@@ -253,8 +254,8 @@ def test_kept_masks_are_unions_of_parent_orbits(bipartite):
             for g in (canonical, permute_graph(canonical, random_permutation(rng, k))):
                 parent = g.rows
                 kept = set(generate._new_vertex_maximises_f(parent, generate._neighbourhood_masks(parent, *bounds)))
-                for sigma in canon.search(k, parent).generators:
-                    assert {generate._apply_to_mask(sigma, m) for m in kept} == kept, (parent, sigma)
+                for sigma in canon.search(parent).generators:
+                    assert {permute_mask(sigma, m) for m in kept} == kept, (parent, sigma)
 
 
 def test_bipartite_counts():

@@ -1,13 +1,13 @@
 """Alternating A/B runs of the benchmark: a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py PARENT_REV stream:10 repro:3 symmetric:3 --out BENCH.json
+    python3 tools/bench_pairs.py PARENT_REV --out BENCH.json
 
 Run from anywhere inside a git checkout.  PARENT_REV is exported with
-``git archive`` into a temporary directory.  For each ``WORKLOAD:PAIRS``
-argument, ``perfbench/run.py --workload WORKLOAD --seed SEED`` runs PAIRS
-times in the parent tree and PAIRS times in the working tree,
-alternately, with the first side of each pair flipped from one pair to the
-next.  Each tree runs its own ``perfbench/`` and its own ``src/``.
+``git archive`` into a temporary directory.  For each workload that
+``BENCHMARK.json`` lists, ``perfbench/run.py --workload WORKLOAD --seed SEED``
+runs ``PAIRS`` times in the parent tree and ``PAIRS`` times in the working
+tree, alternately, with the first side of each pair flipped from one pair to
+the next.  Each tree runs its own ``perfbench/`` and its own ``src/``.
 
 The JSON written to ``--out`` holds every run's result line (the last line
 ``run.py`` prints) and its pass count (from
@@ -20,8 +20,8 @@ counts), next to each side's failed operations, whether every run was
 correct, and each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
 last lines of its stderr, counts as not correct, and the pairs go on; metrics
 are summarised over the pairs whose two runs both finished.  It exits 1 when
-any run was not correct.  The working tree is named by its HEAD, whether it
-differs from HEAD, and the sha256 of ``git diff HEAD``.  Standard library only.
+any run was not correct.  The working tree is named by ``provenance``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+PAIRS = 10  # per workload: at 3 pairs, a workload that did not move read +4.8% (BENCH_19.json)
 STDERR_LINES = 20  # kept from a run that exits non-zero
 
 
@@ -49,6 +50,26 @@ def export(root: str, rev: str, into: str) -> None:
     """Writes the files of rev, as committed, under into."""
     with tarfile.open(fileobj=io.BytesIO(git(root, "archive", "--format=tar", rev))) as tar:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def provenance(root: str) -> dict:
+    """The working tree: its HEAD, whether it differs from HEAD, and the sha256 of the difference.
+
+    The difference is ``git diff HEAD`` and then each untracked file that is
+    not ignored, by name and content, since a run measures those files too.
+    """
+    listed = git(root, "ls-files", "--others", "--exclude-standard", "-z")
+    untracked = [name for name in listed.split(b"\0") if name]
+    digest = hashlib.sha256(git(root, "diff", "--binary", "HEAD"))
+    for name in untracked:
+        with open(os.path.join(root, os.fsdecode(name)), "rb") as fh:
+            digest.update(b"\0" + name + b"\0" + fh.read())
+    return {
+        "head": git(root, "rev-parse", "HEAD").decode().strip(),
+        "dirty": bool(git(root, "status", "--porcelain").strip()),
+        "untracked": len(untracked),
+        "diff_sha256": digest.hexdigest(),
+    }
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
@@ -122,36 +143,26 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the revision to compare against, e.g. HEAD~1")
-    parser.add_argument("runs", nargs="+", metavar="WORKLOAD:PAIRS")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    plan = []
-    for spec in args.runs:
-        workload, _, pairs = spec.partition(":")
-        if not pairs.isdigit() or int(pairs) < 1:
-            parser.error(f"expected WORKLOAD:PAIRS with PAIRS >= 1, got {spec!r}")
-        plan.append((workload, int(pairs)))
 
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        declared = json.load(fh)
+    metrics = declared["end_to_end"]
     bench = {
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed}",
         "parent": git(root, "rev-parse", args.parent).decode().strip(),
-        "change": {
-            "head": git(root, "rev-parse", "HEAD").decode().strip(),
-            "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()),
-            "diff_sha256": hashlib.sha256(git(root, "diff", "--binary", "HEAD")).hexdigest(),
-        },
+        "change": provenance(root),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
         export(root, args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": root}
-        for workload, pairs in plan:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = []
-            for pair in range(pairs):
+            for pair in range(PAIRS):
                 for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
                     run = run_once(trees[side], workload, args.seed)
                     runs.append({"pair": pair, "side": side, "order": order, **run})
