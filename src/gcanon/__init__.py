@@ -16,9 +16,6 @@ from .core import (
     VertexCapError,
     ZeroVertexError,
     girth,
-    is_colour_preserving,
-    normalize_colouring,
-    permute_colouring,
     permute_graph,
 )
 from .filters import (
@@ -59,10 +56,7 @@ __all__ = [
     "generate_graphs",
     "generate_random_graphs",
     "girth",
-    "is_colour_preserving",
-    "normalize_colouring",
     "parse_filter_spec",
-    "permute_colouring",
     "permute_graph",
     "refine",
     "remove_isomorphs",

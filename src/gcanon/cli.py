@@ -228,6 +228,8 @@ def _main(argv: list[str] | None, stdin: IO[str] | None, stdout: IO[str] | None)
         return 0
     except ValueError as exc:
         _fail(str(exc))
+    except RecursionError:  # the search recurses once per tree level
+        _fail("graph too large for the search's recursion depth")
 
 
 if __name__ == "__main__":

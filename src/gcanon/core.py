@@ -260,18 +260,6 @@ class Permutation:
     def __call__(self, v: int) -> int:
         return self.image[v]
 
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
-    def compose(self, other: Permutation) -> Permutation:
-        """The permutation applying `other` first, then self."""
-        if len(other) != len(self):
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.image[w] for w in other.image))
-
 
 @dataclass(frozen=True, slots=True)
 class Colouring:
@@ -327,32 +315,6 @@ def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
     for v, row in enumerate(graph.rows):
         rows[image[v]] = permute_mask(image, row)
     return Graph(graph.n, tuple(rows))
-
-
-def permute_colouring(sigma: Permutation, colouring: Colouring) -> Colouring:
-    """Maps each cell through sigma, keeping cell order."""
-    if len(sigma) != colouring.n:
-        raise ValueError(f"permutation length {len(sigma)} != colouring size {colouring.n}")
-    return Colouring(tuple(frozenset(sigma.image[v] for v in cell) for cell in colouring.cells))
-
-
-def is_colour_preserving(sigma: Permutation, colouring: Colouring) -> bool:
-    """True iff sigma maps every colour cell onto itself."""
-    return permute_colouring(sigma, colouring).cells == colouring.cells
-
-
-def normalize_colouring(colouring: Colouring) -> Colouring:
-    """The colouring with the same cell sizes whose cells are consecutive blocks.
-
-    Cell i becomes {s, ..., s + |cell i| - 1} where s is the total size of the
-    earlier cells.
-    """
-    cells = []
-    start = 0
-    for size in colouring.cell_sizes():
-        cells.append(frozenset(range(start, start + size)))
-        start += size
-    return Colouring(tuple(cells))
 
 
 def _layers(rows: Sequence[int], root: int, within: int) -> list[int]:

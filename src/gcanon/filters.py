@@ -93,11 +93,15 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
 
     Keys are property names or ``Negate<name>``; a negate key needs its base
     key present and a boolean value.  A list value is read as a (lo, hi)
-    range, and ``PropertyConstraint`` checks every value.
+    range, and ``PropertyConstraint`` checks every value.  An item that is
+    not a (str, value) pair, such as a key of a mapping, is an error.
     """
     values: dict[str, object] = {}
     negates: dict[str, bool] = {}
-    for key, value in spec:
+    for item in spec:
+        if not (isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str)):
+            raise FilterSpecError(f"expected a (name, value) pair, got {item!r}")
+        key, value = item
         if key.startswith("Negate") and key[len("Negate") :] in PROPERTY_NAMES:
             base = key[len("Negate") :]
             if base in negates:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately independent of the canonical search: the
 isomorphism oracles enumerate permutations outright so they can sit on the
-other side of dual-route checks.
+other side of dual-route checks.  The permutation and colouring oracles
+(``compose``, ``inverse``, ``permute_colouring``, ``is_colour_preserving``,
+``normalize_colouring``) work on plain image tuples and cell sets, so they
+share no code with the library they check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from typing import Iterator
 
 from gcanon.cli import main
-from gcanon.core import Graph, Permutation
+from gcanon.core import Colouring, Graph, Permutation
 
 
 def run_cli(argv, stdin_text=""):
@@ -104,9 +107,7 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
     return Permutation(tuple(image))
 
 
-def random_colouring(rng: random.Random, n: int) -> "Colouring":
-    from gcanon.core import Colouring
-
+def random_colouring(rng: random.Random, n: int) -> Colouring:
     vertices = list(range(n))
     rng.shuffle(vertices)
     cells = []
@@ -115,6 +116,34 @@ def random_colouring(rng: random.Random, n: int) -> "Colouring":
         cells.append(vertices[:size])
         vertices = vertices[size:]
     return Colouring(tuple(cells))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """The permutation applying b first, then a."""
+    return Permutation(tuple(a.image[w] for w in b.image))
+
+
+def inverse(p: Permutation) -> Permutation:
+    image = [0] * len(p.image)
+    for v, w in enumerate(p.image):
+        image[w] = v
+    return Permutation(tuple(image))
+
+
+def permute_colouring(sigma: Permutation, colouring: Colouring) -> Colouring:
+    """Each cell mapped through sigma, in cell order."""
+    return Colouring(tuple(frozenset(sigma.image[v] for v in cell) for cell in colouring.cells))
+
+
+def is_colour_preserving(sigma: Permutation, colouring: Colouring) -> bool:
+    """Whether sigma maps every cell onto itself."""
+    return all(frozenset(sigma.image[v] for v in cell) == cell for cell in colouring.cells)
+
+
+def normalize_colouring(colouring: Colouring) -> Colouring:
+    """Cells of the same lengths, in the same order, as consecutive blocks from 0."""
+    ends = itertools.accumulate(len(cell) for cell in colouring.cells)
+    return Colouring(tuple(frozenset(range(end - len(cell), end)) for cell, end in zip(colouring.cells, ends)))
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
@@ -254,3 +283,58 @@ def chang() -> Graph:
     """The Chang graph: T(8) switched on the pairs of a perfect matching of K8 (strongly regular like T(8), not isomorphic)."""
     pairs = list(itertools.combinations(range(8), 2))
     return seidel_switch(triangular(8), [pairs.index((a, a + 1)) for a in range(0, 8, 2)])
+
+
+def cayley_table(*orders: int) -> list[list[int]]:
+    """The addition table of Z_orders[0] x Z_orders[1] x ..., elements numbered in the order of itertools.product."""
+    elements = list(itertools.product(*(range(m) for m in orders)))
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[tuple((x + y) % m for x, y, m in zip(a, b, orders))] for b in elements] for a in elements]
+
+
+def latin_square_graph(table: list[list[int]]) -> Graph:
+    """Cell (r, c) of an m x m Latin square is vertex m * r + c; cells are adjacent when they share a row, a column or a symbol."""
+    m = len(table)
+    cells = [(r, c, table[r][c]) for r in range(m) for c in range(m)]
+    pairs = itertools.combinations(range(m * m), 2)
+    return Graph.from_edges(m * m, [(i, j) for i, j in pairs if any(a == b for a, b in zip(cells[i], cells[j]))])
+
+
+def johnson(m: int, k: int) -> Graph:
+    """J(m, k): vertex i is the i-th k-subset of itertools.combinations(range(m), k); subsets meeting in k - 1 elements are adjacent."""
+    subsets = [set(s) for s in itertools.combinations(range(m), k)]
+    pairs = itertools.combinations(range(len(subsets)), 2)
+    return Graph.from_edges(len(subsets), [(i, j) for i, j in pairs if len(subsets[i] & subsets[j]) == k - 1])
+
+
+def projective_plane_incidence(q: int) -> Graph:
+    """The point-line incidence graph of PG(2, q), q prime.
+
+    Points and lines are both the vectors of F_q^3 whose first non-zero entry
+    is 1, points first; point p ~ line l iff p . l = 0 (mod q).
+    """
+    vectors = [v for v in itertools.product(range(q), repeat=3) if any(v) and next(x for x in v if x) == 1]
+    edges = [
+        (i, len(vectors) + j)
+        for i, p in enumerate(vectors)
+        for j, line in enumerate(vectors)
+        if sum(a * b for a, b in zip(p, line)) % q == 0
+    ]
+    return Graph.from_edges(2 * len(vectors), edges)
+
+
+def sylvester_hadamard_graph(k: int) -> Graph:
+    """The Hadamard graph of Sylvester's k x k matrix, k a power of 2, where H_ij = (-1)^popcount(i & j).
+
+    Vertex 2i + s is r_i^a and 2k + 2j + t is c_j^b, with a = (-1)^s and
+    b = (-1)^t; r_i^a ~ c_j^b iff a * b * H_ij = 1.
+    """
+    edges = [
+        (2 * i + s, 2 * k + 2 * j + t)
+        for i in range(k)
+        for j in range(k)
+        for s in (0, 1)
+        for t in (0, 1)
+        if (s + t + (i & j).bit_count()) % 2 == 0
+    ]
+    return Graph.from_edges(4 * k, edges)

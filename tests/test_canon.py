@@ -10,17 +10,26 @@ from conftest import (
     brute_force_colour_isomorphic,
     brute_force_isomorphic,
     cartesian_product,
+    cayley_table,
     chang,
     closure_order,
     complete_bipartite,
+    compose,
     deadline,
     disjoint_union,
     hypercube,
+    is_colour_preserving,
+    johnson,
+    latin_square_graph,
+    normalize_colouring,
+    permute_colouring,
     petersen,
+    projective_plane_incidence,
     random_colouring,
     random_graph,
     random_permutation,
     shrikhande,
+    sylvester_hadamard_graph,
     to_networkx,
     triangular,
 )
@@ -37,9 +46,6 @@ from gcanon.core import (
     Graph,
     Permutation,
     ZeroVertexError,
-    is_colour_preserving,
-    normalize_colouring,
-    permute_colouring,
     permute_graph,
 )
 from gcanon.generate import generate_graphs
@@ -244,6 +250,37 @@ def test_symmetric_cliff_sentinel():
             assert result.leaf_count <= g.n * (g.n - 1) // 2 + 1
 
 
+def test_hard_families_keep_keys_generators_and_leaf_caps():
+    # Classical hard inputs for individualization-refinement (McKay & Piperno,
+    # J. Symb. Comput. 60, 2014), each searched on the relabellings of seeds
+    # 0..4.  A cap is the most leaves any of them took when the test was
+    # written, so more leaves on any one means the search prunes less.  About
+    # 4 s in all.  J(9,2) (5,137 leaves on seed 3), the Latin square graph of
+    # Z2^3, H16 and PG(2,5) take far longer; they wait for a search that jumps
+    # back to the first path when a leaf proves an automorphism.
+    families = [
+        ("J(8,3)", johnson(8, 3), 407),
+        ("Latin Z7", latin_square_graph(cayley_table(7)), 43),
+        ("Latin Z8", latin_square_graph(cayley_table(8)), 214),
+        ("Latin Z4xZ2", latin_square_graph(cayley_table(4, 2)), 409),
+        ("PG(2,2)", projective_plane_incidence(2), 57),
+        ("PG(2,3)", projective_plane_incidence(3), 504),
+        ("H4", sylvester_hadamard_graph(4), 19),
+        ("H8", sylvester_hadamard_graph(8), 774),
+    ]
+    with deadline(20):
+        for name, g, leaf_cap in families:
+            keys = set()
+            for seed in range(5):
+                h = permute_graph(g, random_permutation(random.Random(seed), g.n))
+                found = canon.search(h.rows)
+                keys.add(found.key)
+                assert found.leaves <= leaf_cap, (name, seed, found.leaves)
+                for image in found.generators:
+                    assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
+            assert len(keys) == 1, name
+
+
 @pytest.fixture(scope="module")
 def digest_searches():
     """2,714 search records: every graph with n <= 7, 100 seeded G(n, p) with
@@ -430,7 +467,7 @@ def test_is_automorphism_matches_permute_graph():
             for _ in range(4 if gens else 0):
                 product = Permutation.identity(n)
                 for gen in rng.choices(gens, k=rng.randint(1, 3)):
-                    product = product.compose(gen)
+                    product = compose(product, gen)
                 sigmas.append(product)
             for u, v in twins[:4]:
                 image = list(range(n))
@@ -500,7 +537,7 @@ def test_known_automorphisms_keep_key_and_order():
             for _ in range(rng.randint(0, 2) if perms else 0):
                 product = Permutation.identity(g.n)
                 for p in rng.choices(perms, k=rng.randint(1, 3)):
-                    product = product.compose(p)
+                    product = compose(product, p)
                 known.append(product.image)
         seeded += bool(known)
         found = search(known=known)

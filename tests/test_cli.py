@@ -295,3 +295,9 @@ def test_vertex_cap_env_override_subprocess():
     result = module_cli(["label"], g6 + "\n", env_extra={"GCANON_VERTEX_CAP": "70"})
     assert result.returncode == 0
     assert result.stdout.startswith("~?@@") and result.stdout.count("\n") == 1
+    # The empty graph on 1,000 vertices is admitted, but its search tree has
+    # about 1,000 levels, past the interpreter's recursion limit.
+    result = module_cli(["label"], ":~?Ng\n", env_extra={"GCANON_VERTEX_CAP": "1000"})
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("gcanon: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr

@@ -3,7 +3,18 @@ import random
 
 import pytest
 
-from conftest import all_labelled_graphs, brute_force_isomorphic, random_colouring, random_graph, random_permutation
+from conftest import (
+    all_labelled_graphs,
+    brute_force_isomorphic,
+    compose,
+    inverse,
+    is_colour_preserving,
+    normalize_colouring,
+    permute_colouring,
+    random_colouring,
+    random_graph,
+    random_permutation,
+)
 from gcanon.core import (
     CAP_OVERRIDE,
     VERTEX_CAP,
@@ -14,9 +25,6 @@ from gcanon.core import (
     ZeroVertexError,
     check_vertex_count,
     connectivity_at_most,
-    is_colour_preserving,
-    normalize_colouring,
-    permute_colouring,
     permute_graph,
 )
 
@@ -48,10 +56,8 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((0, 0, 2))
     p = Permutation((1, 2, 0))
-    assert p.inverse().image == (2, 0, 1)
-    assert p.compose(p.inverse()).image == (0, 1, 2)
-    with pytest.raises(ValueError, match="^cannot compose permutations of different sizes$"):
-        p.compose(Permutation.identity(4))
+    assert inverse(p).image == (2, 0, 1)
+    assert compose(p, inverse(p)).image == (0, 1, 2)
 
 
 def test_colouring_validation():
@@ -96,7 +102,7 @@ def test_permute_graph_composition():
         g = random_graph(rng, 7)
         sigma = random_permutation(rng, 7)
         tau = random_permutation(rng, 7)
-        assert permute_graph(permute_graph(g, sigma), tau) == permute_graph(g, tau.compose(sigma))
+        assert permute_graph(permute_graph(g, sigma), tau) == permute_graph(g, compose(tau, sigma))
 
 
 def test_permute_graph_length_mismatch():
@@ -108,8 +114,6 @@ def test_permute_colouring():
     pi = Colouring(([0], [1, 2]))
     assert permute_colouring(Permutation.identity(3), pi) == pi
     assert permute_colouring(Permutation((1, 2, 0)), pi) == Colouring(([1], [2, 0]))
-    with pytest.raises(ValueError):
-        permute_colouring(Permutation.identity(4), pi)
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(1, 9)

@@ -64,6 +64,13 @@ def test_build_filter_errors():
     with pytest.raises(FilterSpecError, match=r"^NumEdges takes an integer or range, got range\(4, 6\)$"):
         build_graph_filter([("NumEdges", range(4, 6))])
     assert build_graph_filter([("NumEdges", [4, 6])]) == build_graph_filter([("NumEdges", (4, 6))])
+    with pytest.raises(FilterSpecError, match=r"^expected a \(name, value\) pair, got \(1, 2\)$"):
+        build_graph_filter([(1, 2)])
+    with pytest.raises(FilterSpecError, match=r"^expected a \(name, value\) pair, got \('NumEdges',\)$"):
+        build_graph_filter([("NumEdges",)])
+    # A mapping iterates over its keys alone.
+    with pytest.raises(FilterSpecError, match="^expected a \\(name, value\\) pair, got 'NumCycles'$"):
+        build_graph_filter({"NumCycles": 0})
 
 
 def test_constraint_validation():

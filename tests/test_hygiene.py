@@ -13,7 +13,11 @@ whether imported (``from .x import _y``) or read as an attribute of it
 ``core`` or the search record in ``canon``) is reached through its public
 functions only.  Finally, every function and class that ``src/gcanon``
 defines must be named somewhere in ``src``, ``tests``, ``perfbench`` or
-``tools`` besides its own definition; one that is not is dead code.
+``tools`` besides its own definition; one that is not is dead code.  A
+module-level one that ``gcanon.__all__`` does not export must be named in
+``src``, ``perfbench`` or ``tools``: a helper that only tests call is an
+oracle, and belongs in ``tests/conftest.py``, where it cannot share code
+with what it checks.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+import gcanon
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "gcanon").glob("*.py"))
@@ -194,12 +200,14 @@ def _docstrings(tree: ast.Module) -> set[int]:
     }
 
 
-def unnamed_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+def unnamed_definitions(defining: dict[str, str], others: list[str], exported: frozenset[str] | None = None) -> list[str]:
     """Functions and classes defined in ``defining`` (file name -> source) that no source names.
 
     A name counts where it is read as a variable or an attribute, imported,
     or spelled as a whole string outside a docstring (``setattr(m, "f", g)``);
-    a definition alone does not count, and dunders are exempt.
+    a definition alone does not count, and dunders are exempt.  Given
+    ``exported``, only module-level definitions are checked, and those whose
+    names it holds are exempt.
     """
     trees = {name: ast.parse(source) for name, source in defining.items()}
     named: set[str] = set()
@@ -216,17 +224,26 @@ def unnamed_definitions(defining: dict[str, str], others: list[str]) -> list[str
                 named.add(node.value)
     found = []
     for file_name, tree in trees.items():
-        for node in ast.walk(tree):
+        for node in ast.walk(tree) if exported is None else tree.body:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name not in named and not (node.name.startswith("__") and node.name.endswith("__")):
+                exempt = node.name in (exported or ()) or (node.name.startswith("__") and node.name.endswith("__"))
+                if node.name not in named and not exempt:
                     found.append(f"{file_name} line {node.lineno}: {node.name}")
     return sorted(found)
 
 
+def _sources(*dirs: str) -> list[str]:
+    return [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+
 def test_every_definition_is_named_somewhere():
-    others = [p for d in ("tests", "perfbench", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
     defining = {p.name: p.read_text() for p in SOURCES}
-    assert unnamed_definitions(defining, [p.read_text() for p in others]) == []
+    assert unnamed_definitions(defining, _sources("tests", "perfbench", "tools")) == []
+
+
+def test_library_definitions_have_a_library_caller():
+    defining = {p.name: p.read_text() for p in SOURCES}
+    assert unnamed_definitions(defining, _sources("perfbench", "tools"), frozenset(gcanon.__all__)) == []
 
 
 def test_unnamed_definition_check_catches_dead_code():
@@ -258,15 +275,28 @@ def dead_in_docstring():
 
 class Dead:
     pass
+
+
+def only_tests_call():
+    pass
 '''
-    caller = '''
-from gcanon.mod import Used
+    test_caller = '''
+from gcanon.mod import Used, only_tests_call
 
 Used().read()
+only_tests_call()
 monkeypatch.setattr(mod, "patched", None)
 '''
-    assert unnamed_definitions({"mod.py": source}, [caller]) == [
+    assert unnamed_definitions({"mod.py": source}, [test_caller]) == [
         "mod.py line 11: is_dead",
         "mod.py line 23: dead_in_docstring",
         "mod.py line 27: Dead",
+    ]
+    # Without the test callers, the unexported module-level definitions that
+    # only they name fail too; the method is_dead is not checked at all.
+    assert unnamed_definitions({"mod.py": source}, [], frozenset({"Used"})) == [
+        "mod.py line 19: patched",
+        "mod.py line 23: dead_in_docstring",
+        "mod.py line 27: Dead",
+        "mod.py line 31: only_tests_call",
     ]
