@@ -3,7 +3,6 @@
 from .canon import (
     CanonResult,
     are_isomorphic,
-    automorphism_generators,
     canonical_label,
     refine,
     remove_isomorphs,
@@ -45,7 +44,6 @@ __all__ = [
     "VertexCapError",
     "ZeroVertexError",
     "are_isomorphic",
-    "automorphism_generators",
     "build_graph_filter",
     "canonical_label",
     "decode",

@@ -70,7 +70,9 @@ from .core import Colouring, Graph, Permutation, permute_mask
 
 @dataclass(frozen=True, slots=True)
 class CanonResult:
-    """Outcome of a canonical labelling search."""
+    """Outcome of a canonical labelling search; the automorphism generators
+    generate the whole group of permutations fixing the graph and colouring.
+    """
 
     canonical_graph: Graph
     labelling: Permutation
@@ -334,16 +336,6 @@ def are_isomorphic(
     return search(g.rows, g_cells).key == search(h.rows, h_cells).key
 
 
-def automorphism_generators(graph: Graph, colouring: Colouring | None = None) -> list[Permutation]:
-    """Generators of the group of permutations fixing the graph and colouring.
-
-    They are the automorphisms the search met between equivalent leaves that
-    joined two orbits at the level where the leaves' paths part.  Together
-    they generate the whole colour-preserving automorphism group.
-    """
-    return list(canonical_label(graph, colouring).automorphism_generators)
-
-
 def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     """First representative of each isomorphism class, in input order.
 
@@ -353,13 +345,8 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     """
     kept: list[Graph | str] = []
     seen: set[tuple[int, int]] = set()
-    for index, item in enumerate(items):
-        try:
-            graph = item if isinstance(item, Graph) else codec.decode(item)
-            key = (graph.n, search(graph.rows).key)
-        except ValueError as exc:
-            exc.args = (f"item {index}: {exc}",)
-            raise
+    for item, graph in codec.decode_numbered(enumerate(items), "item"):
+        key = (graph.n, search(graph.rows).key)
         if key not in seen:
             seen.add(key)
             kept.append(item)

@@ -66,13 +66,6 @@ def _graph_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-def _decode_line(lineno: int, line: str) -> core.Graph:
-    try:
-        return codec.decode(line)
-    except ValueError as exc:
-        _fail(f"line {lineno}: {exc}")
-
-
 def _cmd_gen(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     opts = generate.GenOptions(
         only_connected=args.connected,
@@ -93,16 +86,14 @@ def _cmd_rand(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_label(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
-    for lineno, line in _graph_lines(stdin):
-        graph = _decode_line(lineno, line)
+    for _, graph in codec.decode_numbered(_graph_lines(stdin), "line"):
         out.write(codec.graph6_from_key(graph.n, canon.search(graph.rows).key) + "\n")
     return 0
 
 
 def _cmd_short(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _graph_lines(stdin):
-        graph = _decode_line(lineno, line)
+    for line, graph in codec.decode_numbered(_graph_lines(stdin), "line"):
         key = (graph.n, canon.search(graph.rows).key)
         if key not in seen:
             seen.add(key)
@@ -113,8 +104,8 @@ def _cmd_short(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     graph_filter = filters.parse_filter_spec(args.filter)
     matched = 0
-    for lineno, line in _graph_lines(stdin):
-        if filters.evaluate(graph_filter, _decode_line(lineno, line)):
+    for line, graph in codec.decode_numbered(_graph_lines(stdin), "line"):
+        if filters.evaluate(graph_filter, graph):
             matched += 1
             if args.command == "pick":
                 out.write(line + "\n")
@@ -124,12 +115,7 @@ def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
-    try:
-        g = codec.decode(args.g6a)
-        h = codec.decode(args.g6b)
-        answer = canon.are_isomorphic(g, h)
-    except ValueError as exc:
-        _fail(str(exc))
+    answer = canon.are_isomorphic(codec.decode(args.g6a), codec.decode(args.g6b))
     out.write("true\n" if answer else "false\n")
     return 0 if answer else 1
 

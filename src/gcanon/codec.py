@@ -15,6 +15,8 @@ that mention a loop or repeat an edge are errors rather than being simplified.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .core import Graph, check_vertex_count
 
 
@@ -212,3 +214,17 @@ def decode(s: str) -> Graph:
     if s[0] == ":":
         return _decode_sparse6(s)
     return _decode_graph6(s)
+
+
+def decode_numbered(numbered: Iterable[tuple[int, Graph | str]], label: str) -> Iterator[tuple[Graph | str, Graph]]:
+    """(item, graph) per (position, item) pair, a Graph item being its own graph.
+
+    A decode error is re-raised as is, with ``"<label> <position>: "`` before its message.
+    """
+    for position, item in numbered:
+        try:
+            graph = item if isinstance(item, Graph) else decode(item)
+        except ValueError as exc:
+            exc.args = (f"{label} {position}: {exc}",)
+            raise
+        yield item, graph

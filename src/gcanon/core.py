@@ -79,8 +79,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))

@@ -26,11 +26,22 @@ from typing import Iterable
 from . import codec
 from .core import Graph, connectivity_at_most, girth
 
+# Each property's reader; None (a forest's girth) matches no value.
+# Connectivity's reader takes a cap as well: _matches passes hi + 1.
+_PROPERTY_VALUES = {
+    "Bipartite": Graph.is_bipartite,
+    "Regular": lambda graph: len({row.bit_count() for row in graph.rows}) == 1,
+    "Connected": Graph.is_connected,
+    "NumVertices": lambda graph: graph.n,
+    "NumEdges": Graph.num_edges,
+    "MinDegree": lambda graph: graph.degree_sequence()[0],
+    "MaxDegree": lambda graph: graph.degree_sequence()[-1],
+    "Connectivity": connectivity_at_most,
+    "NumCycles": Graph.circuit_rank,
+    "Girth": girth,
+}
+PROPERTY_NAMES = frozenset(_PROPERTY_VALUES)
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
-INTEGER_PROPERTIES = frozenset(
-    {"NumVertices", "NumEdges", "MinDegree", "MaxDegree", "Connectivity", "NumCycles", "Girth"}
-)
-PROPERTY_NAMES = BOOLEAN_PROPERTIES | INTEGER_PROPERTIES
 
 
 class FilterSpecError(ValueError):
@@ -109,12 +120,10 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
             if not isinstance(value, bool):
                 raise FilterSpecError(f"{key} takes a boolean, got {value!r}")
             negates[base] = value
-        elif key in PROPERTY_NAMES:
+        else:
             if key in values:
                 raise FilterSpecError(f"duplicate key {key!r}")
             values[key] = value
-        else:
-            raise FilterSpecError(f"unknown key {key!r}")
     for base in negates:
         if base not in values:
             raise FilterSpecError(f"Negate{base} without a {base} constraint")
@@ -141,8 +150,6 @@ def parse_filter_spec(text: str) -> GraphFilter:
         negated = name.startswith("!")
         if negated:
             name = name[1:].strip()
-        if name not in PROPERTY_NAMES:
-            raise FilterSpecError(f"unknown property in {item!r}")
         constraints.append(PropertyConstraint(name, _parse_value(item, value_text.strip()), negated))
     return GraphFilter(tuple(constraints))
 
@@ -162,32 +169,18 @@ def _parse_value(item: str, text: str) -> bool | int | tuple[int, int]:
         raise FilterSpecError(f"bad value in {item!r}") from None
 
 
-# Property values; None (a forest's girth) matches no value.  Connectivity
-# depends on the clause's bounds, so _matches computes it.
-_PROPERTY_VALUES = {
-    "Bipartite": Graph.is_bipartite,
-    "Regular": lambda graph: len({row.bit_count() for row in graph.rows}) == 1,
-    "Connected": Graph.is_connected,
-    "NumVertices": lambda graph: graph.n,
-    "NumEdges": Graph.num_edges,
-    "MinDegree": lambda graph: graph.degree_sequence()[0],
-    "MaxDegree": lambda graph: graph.degree_sequence()[-1],
-    "NumCycles": Graph.circuit_rank,
-    "Girth": girth,
-}
-
-
 def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
     name = constraint.name
+    read = _PROPERTY_VALUES[name]
     if name in BOOLEAN_PROPERTIES:
-        result = _PROPERTY_VALUES[name](graph) is constraint.value
+        result = read(graph) is constraint.value
     else:
         lo, hi = constraint.bounds()
         if name == "Connectivity":
             # min(kappa, hi + 1) decides lo <= kappa <= hi; K1 matches no value
-            value = connectivity_at_most(graph, hi + 1) if graph.n > 1 else None
+            value = read(graph, hi + 1) if graph.n > 1 else None
         else:
-            value = _PROPERTY_VALUES[name](graph)
+            value = read(graph)
         result = value is not None and lo <= value <= hi
     return result != constraint.negate
 
@@ -200,15 +193,6 @@ def evaluate(graph_filter: GraphFilter, graph: Graph) -> bool:
 def filter_graphs(items: Iterable[Graph | str], graph_filter: GraphFilter) -> list[Graph | str]:
     """The subsequence of items (graphs or graph strings) passing the filter.
 
-    Decode and evaluation failures are re-raised with the item's position.
+    Decode failures are re-raised with the item's position.
     """
-    kept: list[Graph | str] = []
-    for index, item in enumerate(items):
-        try:
-            graph = item if isinstance(item, Graph) else codec.decode(item)
-            if evaluate(graph_filter, graph):
-                kept.append(item)
-        except ValueError as exc:
-            exc.args = (f"item {index}: {exc}",)
-            raise
-    return kept
+    return [item for item, graph in codec.decode_numbered(enumerate(items), "item") if evaluate(graph_filter, graph)]

@@ -338,3 +338,30 @@ def sylvester_hadamard_graph(k: int) -> Graph:
         if (s + t + (i & j).bit_count()) % 2 == 0
     ]
     return Graph.from_edges(4 * k, edges)
+
+
+def cfi_graph(n: int, base_edges: list[tuple[int, int]], twisted) -> Graph:
+    """The Cai-Fürer-Immerman graph over a base graph on n vertices (Combinatorica 12, 1992).
+
+    Base vertex v gets one middle vertex per even-size subset S of its
+    incident edges, and vertices a_{v,e} and b_{v,e} per incident edge e;
+    middle vertex S is adjacent to a_{v,e} if e is in S and to b_{v,e}
+    otherwise.  Base edge number i = uv joins a to a and b to b, or a to b
+    and b to a when i is in ``twisted``.
+    """
+    incident = [[i for i, e in enumerate(base_edges) if v in e] for v in range(n)]
+    ends: dict[tuple[int, int], tuple[int, int]] = {}  # (v, i) -> (a_{v,i}, b_{v,i})
+    edges = []
+    count = 0
+    for v in range(n):
+        for i in incident[v]:
+            ends[v, i] = (count, count + 1)
+            count += 2
+        for size in range(0, len(incident[v]) + 1, 2):
+            for subset in itertools.combinations(incident[v], size):
+                edges += [(count, ends[v, i][0] if i in subset else ends[v, i][1]) for i in incident[v]]
+                count += 1
+    for i, (u, v) in enumerate(base_edges):
+        (au, bu), (av, bv) = ends[u, i], ends[v, i]
+        edges += [(au, bv), (bu, av)] if i in twisted else [(au, av), (bu, bv)]
+    return Graph.from_edges(count, edges)

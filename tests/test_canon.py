@@ -11,6 +11,7 @@ from conftest import (
     brute_force_isomorphic,
     cartesian_product,
     cayley_table,
+    cfi_graph,
     chang,
     closure_order,
     complete_bipartite,
@@ -36,7 +37,6 @@ from conftest import (
 from gcanon import canon, codec
 from gcanon.canon import (
     are_isomorphic,
-    automorphism_generators,
     canonical_label,
     refine,
     remove_isomorphs,
@@ -213,9 +213,9 @@ def test_coloured_isomorphism_matches_brute_force():
 
 
 def test_automorphism_generators_examples():
-    assert closure_order(automorphism_generators(Graph.complete(3)), 3) == 6
-    assert closure_order(automorphism_generators(Graph.path(3)), 3) == 2
-    c5_gens = automorphism_generators(C5)
+    assert closure_order(canonical_label(Graph.complete(3)).automorphism_generators, 3) == 6
+    assert closure_order(canonical_label(Graph.path(3)).automorphism_generators, 3) == 2
+    c5_gens = canonical_label(C5).automorphism_generators
     order = closure_order(c5_gens, 5)
     assert 10 % order == 0
     for sigma in c5_gens:
@@ -279,6 +279,48 @@ def test_hard_families_keep_keys_generators_and_leaf_caps():
                 for image in found.generators:
                     assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
             assert len(keys) == 1, name
+
+
+def test_cfi_pairs_split_by_twist_parity():
+    # Over a connected base graph H, the Cai-Furer-Immerman graph with an even
+    # number of twisted base edges is isomorphic to the untwisted one, and with
+    # an odd number it is not (Combinatorica 12, 1992); both have
+    # 2^(|E|-|V|+1) |Aut H| automorphisms.  Every vertex has degree 3, so
+    # refinement alone splits nothing.  A leaf cap is the most leaves any seed
+    # took when the test was written.
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    bases = [
+        ("K4", 4, list(itertools.combinations(range(4), 2)), 192, 28),
+        ("K3,3", 6, [(i, j) for i in range(3) for j in range(3, 6)], 1152, 50),
+        ("prism", 6, prism, 192, 28),
+    ]
+
+    def twist_sets(m):
+        return [(), (1,), (m - 1,), (0, 1), (0, m - 1), (0, 1, 2)]
+
+    with deadline(10):  # under 1 s
+        for name, n, base_edges, order, leaf_cap in bases:
+            plain = cfi_graph(n, base_edges, ())
+            for twists in twist_sets(len(base_edges)):
+                assert are_isomorphic(plain, cfi_graph(n, base_edges, twists)) == (len(twists) % 2 == 0), (name, twists)
+            for g in (plain, cfi_graph(n, base_edges, (0,))):
+                keys = set()
+                for seed in range(5):
+                    h = permute_graph(g, random_permutation(random.Random(seed), g.n))
+                    found = canon.search(h.rows)
+                    keys.add(found.key)
+                    assert found.leaves <= leaf_cap, (name, seed, found.leaves)
+                    for image in found.generators:
+                        assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
+                assert len(keys) == 1, name
+                assert closure_order(found.generators, g.n) == order, name
+    # VF2++ takes about 20 s per odd twist over K3,3 (2-core x86-64 VM), so it checks K4 and the prism.
+    nx = pytest.importorskip("networkx")
+    for name, n, base_edges, _, _ in bases[::2]:
+        plain = to_networkx(cfi_graph(n, base_edges, ()))
+        for twists in twist_sets(len(base_edges)):
+            twisted = to_networkx(cfi_graph(n, base_edges, twists))
+            assert nx.vf2pp_is_isomorphic(plain, twisted) == (len(twists) % 2 == 0), (name, twists)
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +504,7 @@ def test_is_automorphism_matches_permute_graph():
                 for u, v in itertools.combinations(range(n), 2)
                 if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
             ]
-            gens = automorphism_generators(g)
+            gens = canonical_label(g).automorphism_generators
             sigmas = [random_permutation(rng, n) for _ in range(4)]
             for _ in range(4 if gens else 0):
                 product = Permutation.identity(n)
@@ -590,7 +632,7 @@ def test_are_isomorphic_matches_networkx_vf2():
 def test_automorphism_generators_respect_colouring():
     # pinning one vertex of C5 leaves only the reflection through it
     pi = Colouring(([0], [1, 2, 3, 4]))
-    gens = automorphism_generators(C5, pi)
+    gens = canonical_label(C5, pi).automorphism_generators
     for sigma in gens:
         assert permute_graph(C5, sigma) == C5
         assert is_colour_preserving(sigma, pi)

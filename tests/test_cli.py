@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from conftest import run_cli, run_cli_lines
-from gcanon import codec, core, generate
+from gcanon import codec, core, filters, generate
 from gcanon.core import Graph, Permutation, permute_graph
 
 
@@ -147,9 +147,14 @@ def test_iso_pairwise_sweep_subset():
 
 
 def test_stream_errors_carry_line_numbers(capsys):
-    code, _ = run_cli(["label"], "Dhc\nD c\n")
-    assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    # The library names the failing item by its 0-based index, the CLI by its 1-based line.
+    with pytest.raises(codec.CodecError, match="^item 1: ") as info:
+        filters.filter_graphs(["Dhc", "D c"], filters.GraphFilter())
+    message = str(info.value).removeprefix("item 1: ")
+    for argv in (["label"], ["pick"], ["count"]):
+        code, _ = run_cli(argv, "Dhc\nD c\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"gcanon: line 2: {message}\n", argv
     code, _ = run_cli(["short"], "\nDhc\n")
     assert code == 2
     assert "line 1" in capsys.readouterr().err

@@ -177,7 +177,7 @@ A001187 = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
 def labelled_copies(line):
     """n!/|Aut G| for the graph on the line, with |Aut G| the order of the returned generators."""
     g = codec.decode(line)
-    return math.factorial(g.n) // closure_order(canon.automorphism_generators(g), g.n)
+    return math.factorial(g.n) // closure_order(canon.canonical_label(g).automorphism_generators, g.n)
 
 
 def test_labelled_counts_from_automorphism_groups():
