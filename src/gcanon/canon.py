@@ -46,16 +46,21 @@ its result by field name from the record ``_Search``:
 Refinement is deterministic: splitter cells are taken from a FIFO worklist
 seeded with the cells left to right, a splitting cell is replaced in place by
 its fragments in ascending neighbour-count order, and new fragments join the
-back of the worklist.  Two shortcuts leave the cell order, and so the
+back of the worklist.  Three shortcuts leave the cell order, and so the
 canonical form, unchanged:
 
 - refinement stops once the colouring is discrete, since no splitter can
-  split a singleton, so the splitters left would split nothing;
+  split a singleton, so the splitters left would split nothing; it reports
+  this, and the search reads such a child as a leaf without looking for a
+  cell to individualize;
 - a splitter whose neighbourhood (the union of its vertices' rows) misses
   every non-singleton cell gives all their vertices the count 0 and is
   skipped.  Otherwise only the non-singleton cells are visited, left to
   right, which is the order in which a visit of every cell splits them and
-  queues their fragments.
+  queues their fragments;
+- each non-singleton cell is kept with its vertex mask, and a cell that the
+  splitter's neighbourhood misses is passed over without counting: all its
+  counts are 0, so it cannot split.
 """
 
 from __future__ import annotations
@@ -94,14 +99,22 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> None:
+def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> bool:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds the splitter cells still to be processed.
+    alpha holds the splitter cells still to be processed.  Returns whether
+    the result is discrete.
     """
     bc = int.bit_count
-    opened = [cell for cell in cells if len(cell) > 1]  # the non-singleton cells, left to right
-    live = _mask(v for cell in opened for v in cell)  # their vertices: 0 once the colouring is discrete
+    opened: list[tuple[list[int], int]] = []  # the non-singleton cells, left to right, with their masks
+    live = 0  # their vertices: 0 once the colouring is discrete
+    for cell in cells:
+        if len(cell) > 1:
+            cmask = 0
+            for v in cell:
+                cmask |= 1 << v
+            opened.append((cell, cmask))
+            live |= cmask
     while alpha and live:
         smask = hood = 0
         for v in alpha.popleft():
@@ -109,14 +122,18 @@ def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]
             hood |= rows[v]
         if not hood & live:
             continue
-        still: list[list[int]] = []
-        for cell in opened:
+        still: list[tuple[list[int], int]] = []
+        for entry in opened:
+            cell, cmask = entry
+            if not cmask & hood:
+                still.append(entry)
+                continue
             first = bc(rows[cell[0]] & smask)
             for v in cell:
                 if bc(rows[v] & smask) != first:
                     break
             else:
-                still.append(cell)
+                still.append(entry)
                 continue
             groups: dict[int, list[int]] = {}
             for v in cell:
@@ -127,10 +144,11 @@ def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]
             alpha.extend(frags)
             for frag in frags:
                 if len(frag) > 1:
-                    still.append(frag)
+                    still.append((frag, _mask(frag)))
                 else:
                     live ^= 1 << frag[0]
         opened = still
+    return not live
 
 
 def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
@@ -167,12 +185,13 @@ def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterabl
     """
     n = len(sigma)
     full = (1 << n) - 1
+    image_bits = [1 << w for w in sigma]
     for v in support:
         row, target = rows[v], rows[sigma[v]]
         if row.bit_count() * 2 > n:
             row ^= full
             target ^= full
-        if permute_mask(sigma, row) != target:
+        if permute_mask(image_bits, row) != target:
             return False
     return True
 
@@ -203,15 +222,16 @@ def search(
     moved = [(_mask(s), s) for s in ([v for v, w in enumerate(g) if v != w] for g in gens)]
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
     base: list[int] = []
+    fixed = [0] * (n + 1)  # per level d, the mask of base[:d]
     best_key = -1
     best_order: list[int] = []
     leaf_count = 0
 
     def build_level(d: int) -> list[int]:
-        fixed = _mask(base[:d])
+        path = fixed[d]
         orbits = levels[d] = list(range(n))
         for g, (m, support) in zip(gens, moved):
-            if not m & fixed:
+            if not m & path:
                 _join(orbits, g, support)
         return orbits
 
@@ -264,9 +284,13 @@ def search(
                 continue
             child = cells.copy()  # cells are replaced, never changed in place
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine(rows, child, deque([[v]]))
+            discrete = _refine(rows, child, deque([[v]]))
             base.append(v)
-            recurse(child)
+            fixed[d + 1] = fixed[d] | 1 << v
+            if discrete:
+                process_leaf(child)
+            else:
+                recurse(child)
             base.pop()
 
     _refine(rows, cells, deque(cells))

@@ -206,8 +206,11 @@ def decode(s: str) -> Graph:
     """Decode a Graph6 or Sparse6 string (detected by the ':' prefix).
 
     A single trailing newline, LF or CR LF, is tolerated; any other stray
-    byte is an error reported with its offset.
+    byte is an error reported with its offset.  Anything but a str, bytes
+    included, is a TypeError.
     """
+    if not isinstance(s, str):
+        raise TypeError(f"expected a Graph6/Sparse6 str, got {type(s).__name__}")
     s = strip_line_end(s)
     if not s:
         raise CodecError("empty graph string", offset=0)
@@ -219,12 +222,14 @@ def decode(s: str) -> Graph:
 def decode_numbered(numbered: Iterable[tuple[int, Graph | str]], label: str) -> Iterator[tuple[Graph | str, Graph]]:
     """(item, graph) per (position, item) pair, a Graph item being its own graph.
 
-    A decode error is re-raised as is, with ``"<label> <position>: "`` before its message.
+    A decode error, a TypeError for an item that is neither a Graph nor a
+    str included, is re-raised as is, with ``"<label> <position>: "`` before
+    its message.
     """
     for position, item in numbered:
         try:
             graph = item if isinstance(item, Graph) else decode(item)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             exc.args = (f"{label} {position}: {exc}",)
             raise
         yield item, graph

@@ -294,12 +294,14 @@ class Colouring:
         return tuple(len(c) for c in self.cells)
 
 
-def permute_mask(image: Sequence[int], mask: int) -> int:
-    """The vertex mask {image[v] : v in mask}."""
+def permute_mask(image_bits: Sequence[int], mask: int) -> int:
+    """The vertex mask {image[v] : v in mask} of a permutation given as its
+    bit table, ``image_bits[v] == 1 << image[v]``; a caller that permutes
+    many masks builds the table once."""
     out = 0
     while mask:
         b = mask & -mask
-        out |= 1 << image[b.bit_length() - 1]
+        out |= image_bits[b.bit_length() - 1]
         mask ^= b
     return out
 
@@ -309,9 +311,10 @@ def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
     if len(sigma) != graph.n:
         raise ValueError(f"permutation length {len(sigma)} != vertex count {graph.n}")
     image = sigma.image
+    image_bits = [1 << w for w in image]
     rows = [0] * graph.n
     for v, row in enumerate(graph.rows):
-        rows[image[v]] = permute_mask(image, row)
+        rows[image[v]] = permute_mask(image_bits, row)
     return Graph(graph.n, tuple(rows))
 
 

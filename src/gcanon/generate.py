@@ -107,6 +107,7 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[tuple[int, list[tupl
     # the generators that map it onto itself; children of orbit-equivalent
     # neighbourhoods are isomorphic, so reps suffice.  The walk from a rep
     # pops the rep first, so its stabilising generators are read there.
+    tables = [(g, [1 << w for w in g]) for g in gens]
     seen: set[int] = set()
     reps = []
     for m in masks:
@@ -118,8 +119,8 @@ def _orbit_reps(masks, gens: list[tuple[int, ...]]) -> list[tuple[int, list[tupl
         seen.add(m)
         while stack:
             x = stack.pop()
-            for g in gens:
-                y = permute_mask(g, x)
+            for g, image_bits in tables:
+                y = permute_mask(image_bits, x)
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

@@ -348,9 +348,10 @@ def digest_searches():
 def test_search_records_match_recorded_digest(digest_searches):
     # Recorded at commit 4563d29, before refinement skipped splitters that
     # cannot split and stopped once discrete, before joins walked only moved
-    # points, and before leaves tested sigma instead of packing a key: those
-    # rules must leave every record (key, order, generators, leaves) as it
-    # was.  A change that deliberately walks another tree (a backjump, say)
+    # points, before leaves tested sigma instead of packing a key, before
+    # refinement passed over the cells a splitter's neighbourhood misses, and
+    # before mask permutation read a bit table: those rules must leave every
+    # record (key, order, generators, leaves) as it was.  A change that deliberately walks another tree (a backjump, say)
     # records the digest again and declares the change in CHANGES.md.
     digest = hashlib.sha256()
     for found in digest_searches:
@@ -436,6 +437,37 @@ def test_refine_stops_once_discrete():
         assert Colouring(tuple(cells)) == refine(g)
         stopped += len(cells) == 20 and bool(alpha)
     assert stopped
+
+
+class RowsMissedBy:
+    """Adjacency rows that fail a read of a row in ``missed``, the vertices of
+    cells that no splitter's neighbourhood meets."""
+
+    def __init__(self, rows, missed):
+        self.rows, self.missed = rows, set(missed)
+
+    def __getitem__(self, v):
+        assert v not in self.missed, f"row {v} read, in a cell that no splitter's neighbourhood meets"
+        return self.rows[v]
+
+
+def test_refine_reads_no_row_of_a_cell_its_splitters_miss():
+    # In C9 + Petersen with a C9 vertex individualized, every splitter lies
+    # in C9, so every neighbourhood misses the Petersen cell: its counts are
+    # all 0, it cannot split, and refinement may not read its rows.
+    rng = random.Random(38)
+    g = disjoint_union([Graph.cycle(9), petersen()])
+    for sigma in [Permutation.identity(19)] + [random_permutation(rng, 19) for _ in range(4)]:
+        h = permute_graph(g, sigma)
+        cycle = sorted(sigma(v) for v in range(9))
+        outer = sorted(sigma(v) for v in range(9, 19))
+        for v in cycle:
+            cells = [[v], [w for w in cycle if w != v], outer]
+            expected = [cell.copy() for cell in cells]
+            canon._refine(h.rows, expected, deque([[v]]))
+            canon._refine(RowsMissedBy(h.rows, outer), cells, deque([[v]]))
+            assert cells == expected
+            assert outer in cells and len(cells) == 6  # v, the four pairs at distance 1..4, the Petersen cell
 
 
 def test_search_packs_keys_only_at_leaves(monkeypatch):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import all_labelled_graphs, random_graph, to_networkx
-from gcanon import generate
+from gcanon import GraphFilter, filter_graphs, generate, remove_isomorphs
 from gcanon.codec import CodecError, decode, encode_graph6, encode_sparse6, graph6_from_key, key_from_rows, rows_from_key
 from gcanon.core import Graph, Permutation, VertexCapError, ZeroVertexError, permute_graph
 
@@ -37,6 +37,19 @@ def test_empty_string_error_has_an_offset():
         with pytest.raises(CodecError, match=r"^empty graph string \(byte offset 0\)$") as info:
             decode(text)
         assert info.value.offset == 0
+
+
+def test_non_str_input_is_a_type_error_with_its_position():
+    # bytes, as read from a binary stream, are not decoded either
+    with pytest.raises(TypeError) as info:
+        decode(5)
+    assert str(info.value) == "expected a Graph6/Sparse6 str, got int"
+    with pytest.raises(TypeError) as info:
+        remove_isomorphs(["Dhc", None])
+    assert str(info.value) == "item 1: expected a Graph6/Sparse6 str, got NoneType"
+    with pytest.raises(TypeError) as info:
+        filter_graphs(["Dhc", b"Dhc"], GraphFilter())
+    assert str(info.value) == "item 1: expected a Graph6/Sparse6 str, got bytes"
 
 
 def test_internal_whitespace_is_an_error():

@@ -255,7 +255,8 @@ def test_kept_masks_are_unions_of_parent_orbits(bipartite):
                 parent = g.rows
                 kept = set(generate._new_vertex_maximises_f(parent, generate._neighbourhood_masks(parent, *bounds)))
                 for sigma in canon.search(parent).generators:
-                    assert {permute_mask(sigma, m) for m in kept} == kept, (parent, sigma)
+                    image_bits = [1 << w for w in sigma]
+                    assert {permute_mask(image_bits, m) for m in kept} == kept, (parent, sigma)
 
 
 def test_bipartite_counts():

@@ -11,7 +11,10 @@ needs the rule.  So does taking an underscore name from a sibling module,
 whether imported (``from .x import _y``) or read as an attribute of it
 (``x._y``): what a module keeps private (such as the connectivity flow in
 ``core`` or the search record in ``canon``) is reached through its public
-functions only.  Finally, every function and class that ``src/gcanon``
+functions only.  Every name that a module imports must be read in it,
+except the re-exports that ``__init__`` lists in ``__all__`` and ``from
+__future__`` imports: an import that a change leaves behind is dead code.
+Finally, every function and class that ``src/gcanon``
 defines must be named somewhere in ``src``, ``tests``, ``perfbench`` or
 ``tools`` besides its own definition; one that is not is dead code.  A
 module-level one that ``gcanon.__all__`` does not export must be named in
@@ -187,6 +190,66 @@ def f():
         "line 7: writes core.VERTEX_CAP",
         "line 8: writes o.sep",
         "line 9: writes core.?",
+    ]
+
+
+def unread_imports(source: str) -> list[str]:
+    """Line-numbered names that an import in ``source`` binds and the module never reads.
+
+    A name is read where it is loaded as a variable, annotations included;
+    a docstring or a string does not count.  ``from __future__`` imports and
+    the names that ``__all__`` lists (the re-exports of ``__init__``) are
+    exempt.
+    """
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [(alias.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(alias.lineno, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        found += [(lineno, name) for lineno, name in bound if name not in read]
+    return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_unread_import_check_catches_every_form():
+    source = '''
+"""Names Sequence in a docstring, which does not count."""
+from __future__ import annotations
+
+import os.path
+import sys as system
+from typing import Iterable, Sequence
+from . import codec, core as c
+from .core import (
+    Graph,
+    permute_mask,
+)
+from .canon import refine
+
+__all__ = ["refine"]
+
+
+def f(rows: Iterable[int]) -> Graph:
+    permute_mask = c.bits
+    return os.path.join("codec", "system", "permute_mask")
+'''
+    assert unread_imports(source) == [
+        "line 6: system",
+        "line 7: Sequence",
+        "line 8: codec",
+        "line 11: permute_mask",
     ]
 
 
