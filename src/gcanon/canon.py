@@ -50,9 +50,7 @@ back of the worklist.  Three shortcuts leave the cell order, and so the
 canonical form, unchanged:
 
 - refinement stops once the colouring is discrete, since no splitter can
-  split a singleton, so the splitters left would split nothing; it reports
-  this, and the search reads such a child as a leaf without looking for a
-  cell to individualize;
+  split a singleton, so the splitters left would split nothing;
 - a splitter whose neighbourhood (the union of its vertices' rows) misses
   every non-singleton cell gives all their vertices the count 0 and is
   skipped.  Otherwise only the non-singleton cells are visited, left to
@@ -99,20 +97,17 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> bool:
+def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> None:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds the splitter cells still to be processed.  Returns whether
-    the result is discrete.
+    alpha holds the splitter cells still to be processed.
     """
     bc = int.bit_count
     opened: list[tuple[list[int], int]] = []  # the non-singleton cells, left to right, with their masks
     live = 0  # their vertices: 0 once the colouring is discrete
     for cell in cells:
         if len(cell) > 1:
-            cmask = 0
-            for v in cell:
-                cmask |= 1 << v
+            cmask = _mask(cell)
             opened.append((cell, cmask))
             live |= cmask
     while alpha and live:
@@ -148,7 +143,6 @@ def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]
                 else:
                     live ^= 1 << frag[0]
         opened = still
-    return not live
 
 
 def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
@@ -222,16 +216,15 @@ def search(
     moved = [(_mask(s), s) for s in ([v for v, w in enumerate(g) if v != w] for g in gens)]
     levels: list[list[int] | None] = [None] * n  # orbit array per level of the current path
     base: list[int] = []
-    fixed = [0] * (n + 1)  # per level d, the mask of base[:d]
     best_key = -1
     best_order: list[int] = []
     leaf_count = 0
 
     def build_level(d: int) -> list[int]:
-        path = fixed[d]
+        fixed = _mask(base[:d])
         orbits = levels[d] = list(range(n))
         for g, (m, support) in zip(gens, moved):
-            if not m & path:
+            if not m & fixed:
                 _join(orbits, g, support)
         return orbits
 
@@ -284,13 +277,9 @@ def search(
                 continue
             child = cells.copy()  # cells are replaced, never changed in place
             child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            discrete = _refine(rows, child, deque([[v]]))
+            _refine(rows, child, deque([[v]]))
             base.append(v)
-            fixed[d + 1] = fixed[d] | 1 << v
-            if discrete:
-                process_leaf(child)
-            else:
-                recurse(child)
+            recurse(child)
             base.pop()
 
     _refine(rows, cells, deque(cells))

@@ -454,20 +454,22 @@ class RowsMissedBy:
 def test_refine_reads_no_row_of_a_cell_its_splitters_miss():
     # In C9 + Petersen with a C9 vertex individualized, every splitter lies
     # in C9, so every neighbourhood misses the Petersen cell: its counts are
-    # all 0, it cannot split, and refinement may not read its rows.
+    # all 0, it cannot split, and refinement may not read its rows.  The
+    # result splits C9 by distance from v.  Splitter [v] splits off the
+    # distance-1 pair behind the rest, which distance 2 then 4 split
+    # further, so the cells run [v], distance 2, 4, 3, 1, then Petersen.
     rng = random.Random(38)
     g = disjoint_union([Graph.cycle(9), petersen()])
     for sigma in [Permutation.identity(19)] + [random_permutation(rng, 19) for _ in range(4)]:
         h = permute_graph(g, sigma)
         cycle = sorted(sigma(v) for v in range(9))
         outer = sorted(sigma(v) for v in range(9, 19))
-        for v in cycle:
+        for u in range(9):
+            v = sigma(u)
+            at = {k: sorted(sigma(w) for w in range(9) if min((w - u) % 9, (u - w) % 9) == k) for k in range(1, 5)}
             cells = [[v], [w for w in cycle if w != v], outer]
-            expected = [cell.copy() for cell in cells]
-            canon._refine(h.rows, expected, deque([[v]]))
             canon._refine(RowsMissedBy(h.rows, outer), cells, deque([[v]]))
-            assert cells == expected
-            assert outer in cells and len(cells) == 6  # v, the four pairs at distance 1..4, the Petersen cell
+            assert cells == [[v], at[2], at[4], at[3], at[1], outer]
 
 
 def test_search_packs_keys_only_at_leaves(monkeypatch):
