@@ -319,7 +319,7 @@ def canonical_label(graph: Graph, colouring: Colouring | None = None) -> CanonRe
     for position, v in enumerate(found.order):
         image[v] = position
     return CanonResult(
-        canonical_graph=Graph(graph.n, tuple(codec.rows_from_key(graph.n, found.key))),
+        canonical_graph=Graph(graph.n, codec.rows_from_key(graph.n, found.key)),
         labelling=Permutation(tuple(image)),
         automorphism_generators=tuple(Permutation(g) for g in found.generators),
         leaf_count=found.leaves,

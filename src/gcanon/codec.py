@@ -8,6 +8,12 @@ the upper triangle of the adjacency matrix in column order (0,1), (0,2),
 upper-triangle bit-vector doubles as an integer sort key: the first pair is
 the most significant bit, so comparing keys compares encoded strings.
 
+Reversed, the key holds column j as the j bits from j(j-1)/2 up: the lower j
+bits of row j.  So ``encode_graph6`` reverses the gathered lower triangle
+once, and ``rows_from_key`` reverses the key once and ORs in the transpose
+of that triangle (``core.transpose``) for the upper bits.  Bytes are read
+and checked in order first, so every error keeps its message and offset.
+
 Decoding checks the header's vertex count with ``check_vertex_count``, so a
 zero-vertex string fails as a zero-vertex ``Graph`` would; Sparse6 streams
 that mention a loop or repeat an edge are errors rather than being simplified.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import Graph, check_vertex_count
+from .core import Graph, check_vertex_count, packed_width, transpose
 
 
 class CodecError(ValueError):
@@ -47,16 +53,33 @@ def key_from_rows(rows, order) -> int:
     return key
 
 
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse(x: int, nbits: int) -> int:
+    """The nbits-bit number x with its bit order reversed."""
+    nbytes = (nbits + 7) // 8
+    return int.from_bytes(x.to_bytes(nbytes, "little").translate(_BIT_REVERSED), "big") >> (8 * nbytes - nbits)
+
+
 def rows_from_key(n: int, key: int) -> list[int]:
     """Inverse of key_from_rows for the identity order range(n)."""
-    rows = [0] * n
-    pos = triangle_bits(n)
+    return _rows_from_lower(n, _reverse(key, triangle_bits(n)))
+
+
+def _rows_from_lower(n: int, lower: int) -> list[int]:
+    """The rows of the graph whose key, reversed, is lower."""
+    w = packed_width(n)
+    m = 0
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (key >> pos) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        m |= (lower & ((1 << j) - 1)) << (j * w)
+        lower >>= j
+    m |= transpose(m, w)
+    row_mask = (1 << w) - 1
+    rows = []
+    for _ in range(n):
+        rows.append(m & row_mask)
+        m >>= w
     return rows
 
 
@@ -74,10 +97,10 @@ def _unpack(s: str, start: int, end: int) -> int:
     ``end`` fails at its length.
     """
     x = 0
-    for pos in range(start, min(end, len(s))):
-        value = ord(s[pos]) - 63
-        if not 0 <= value <= 63:
-            raise CodecError(f"invalid byte {ord(s[pos])}", offset=pos)
+    for ch in s[start:end]:
+        value = ord(ch) - 63
+        if not 0 <= value <= 63:  # the first bad byte, so its first occurrence from start
+            raise CodecError(f"invalid byte {ord(ch)}", offset=s.index(ch, start))
         x = (x << 6) | value
     if end > len(s):
         raise CodecError("truncated graph string", offset=len(s))
@@ -110,7 +133,11 @@ def graph6_from_key(n: int, key: int) -> str:
 
 def encode_graph6(graph: Graph) -> str:
     """The Graph6 string of a graph."""
-    return graph6_from_key(graph.n, key_from_rows(graph.rows, range(graph.n)))
+    lower = offset = 0
+    for j, row in enumerate(graph.rows):
+        lower |= (row & ((1 << j) - 1)) << offset
+        offset += j
+    return graph6_from_key(graph.n, _reverse(lower, offset))
 
 
 def encode_sparse6(graph: Graph) -> str:
@@ -142,12 +169,11 @@ def _decode_graph6(s: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(s) - pos > nbytes:
         raise CodecError("trailing bytes after adjacency payload", offset=pos + nbytes)
-    x = _unpack(s, pos, pos + nbytes)
-    pad = 6 * nbytes - nbits
-    if x & ((1 << pad) - 1):
+    # reversed, the payload is the reversed key with the padding above it
+    lower = _reverse(_unpack(s, pos, pos + nbytes), 6 * nbytes)
+    if lower >> nbits:
         raise CodecError("nonzero padding bits", offset=pos + nbytes - 1)
-    key = x >> pad
-    return Graph(n, tuple(rows_from_key(n, key)))
+    return Graph(n, _rows_from_lower(n, lower))
 
 
 def _decode_sparse6(s: str) -> Graph:

@@ -17,12 +17,22 @@ Every breadth-first walk of a graph is ``_layers``, which returns the
 distance layers from a root as bitmasks: ``component_masks``,
 ``bipartition_masks`` and ``girth`` read their answers off those layers.
 (The connectivity flow searches its own residual digraph instead.)
+
+Whole-matrix steps pack the n rows into one n*w-bit integer, row i from bit
+i*w, with w (``packed_width``) the next power of two >= max(n, 8).
+``transpose`` swaps the off-diagonal blocks of every diagonal block, halves
+first, in log2(w) rounds of mask, shift and xor (Warren, *Hacker's Delight*,
+7-3).  ``Graph`` is symmetric iff its packed rows M equal their transpose.
+The first asymmetric pair in (u, v) order is the lowest set bit of the
+symmetric M xor M^T, and any other fault re-runs the per-row loop, so every
+message is the one a pair-by-pair check gives.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
@@ -56,21 +66,27 @@ class Graph:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        check_vertex_count(self.n)
+        n = self.n
+        check_vertex_count(n)
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(rows)}")
-        full = (1 << self.n) - 1
+        if len(rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        full = (1 << n) - 1
+        if min(rows) >= 0 and max(rows) <= full:
+            w = packed_width(n)
+            m = _packed(rows, w)
+            t = transpose(m, w)
+            if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
+                return
         for v, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"row {v} has neighbour bits outside 0..{self.n - 1}")
+                raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((rows[u] >> v) & 1) != ((rows[v] >> u) & 1):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        asym = m ^ t  # the rows are in range, so m and t exist
+        u, v = divmod((asym & -asym).bit_length() - 1, w)
+        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
@@ -245,7 +261,8 @@ class Permutation:
     def __post_init__(self) -> None:
         image = tuple(self.image)
         object.__setattr__(self, "image", image)
-        if sorted(image) != list(range(len(image))):
+        # 1.0 == 1, so only the type check keeps a float out of the bit shifts
+        if not all(map(isinstance, image, repeat(int))) or sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
 
     @classmethod
@@ -273,6 +290,8 @@ class Colouring:
         for i, cell in enumerate(cells):
             if not cell:
                 raise ValueError(f"cell {i} is empty")
+            if not all(map(isinstance, cell, repeat(int))):
+                raise ValueError(f"cell {i} holds a vertex that is not an int")
             if cell & seen:
                 raise ValueError(f"cell {i} overlaps an earlier cell")
             seen |= cell
@@ -294,6 +313,48 @@ class Colouring:
         return tuple(len(c) for c in self.cells)
 
 
+def _matrix_masks(w: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal of a packed w x w matrix, and each round of its transpose:
+    the upper-right s x s block of every 2s x 2s diagonal block as a mask,
+    and the shift s*(w - 1) to its lower-left partner."""
+    width = w // 8
+    diagonal = int.from_bytes(b"".join((1 << i).to_bytes(width, "little") for i in range(w)), "little")
+    rounds = []
+    s = w // 2
+    while s:
+        row = sum(((1 << s) - 1) << j for j in range(s, w, 2 * s)).to_bytes(width, "little")
+        band = (row * s + bytes(width) * s) * (w // (2 * s))
+        rounds.append((s * (w - 1), int.from_bytes(band, "little")))
+        s //= 2
+    return diagonal, tuple(rounds)
+
+
+_MATRIX_MASKS = {w: _matrix_masks(w) for w in (8, 16, 32, 64)}
+
+
+def packed_width(n: int) -> int:
+    """The row stride w of an n-row packed bit matrix: the next power of two >= max(n, 8)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _packed(rows: Sequence[int], w: int) -> int:
+    """The rows, each below 2**w, as one integer, row i from bit i*w."""
+    m = shift = 0
+    for row in rows:
+        m |= row << shift
+        shift += w
+    return m
+
+
+def transpose(m: int, w: int) -> int:
+    """The transpose of the packed bit matrix m of at most w rows: row j holds
+    bit j of every row.  A width over 64 builds its masks on each call."""
+    for shift, mask in (_MATRIX_MASKS.get(w) or _matrix_masks(w))[1]:
+        x = (m ^ (m >> shift)) & mask
+        m ^= x ^ (x << shift)
+    return m
+
+
 def permute_mask(image_bits: Sequence[int], mask: int) -> int:
     """The vertex mask {image[v] : v in mask} of a permutation given as its
     bit table, ``image_bits[v] == 1 << image[v]``; a caller that permutes
@@ -307,15 +368,26 @@ def permute_mask(image_bits: Sequence[int], mask: int) -> int:
 
 
 def permute_graph(graph: Graph, sigma: Permutation) -> Graph:
-    """The graph with edge {sigma(u), sigma(v)} for every edge {u, v}."""
-    if len(sigma) != graph.n:
-        raise ValueError(f"permutation length {len(sigma)} != vertex count {graph.n}")
+    """The graph with edge {sigma(u), sigma(v)} for every edge {u, v}.
+
+    Row v moves to sigma(v); in the transpose of the moved rows, row u is
+    then sigma(N(u)), which moves to sigma(u) in turn.
+    """
+    n = graph.n
+    if len(sigma) != n:
+        raise ValueError(f"permutation length {len(sigma)} != vertex count {n}")
     image = sigma.image
-    image_bits = [1 << w for w in image]
-    rows = [0] * graph.n
+    moved = [0] * n
     for v, row in enumerate(graph.rows):
-        rows[image[v]] = permute_mask(image_bits, row)
-    return Graph(graph.n, tuple(rows))
+        moved[image[v]] = row
+    w = packed_width(n)
+    t = transpose(_packed(moved, w), w)
+    row_mask = (1 << w) - 1
+    rows = [0] * n
+    for target in image:  # row u of t goes to image[u]
+        rows[target] = t & row_mask
+        t >>= w
+    return Graph(n, tuple(rows))
 
 
 def _layers(rows: Sequence[int], root: int, within: int) -> list[int]:

@@ -235,7 +235,7 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
     return [
         codec.graph6_from_key(n, key)
         for key in sorted(keys[n])
-        if not residual.constraints or evaluate(residual, Graph(n, tuple(codec.rows_from_key(n, key))))
+        if not residual.constraints or evaluate(residual, Graph(n, codec.rows_from_key(n, key)))
     ]
 
 

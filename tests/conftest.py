@@ -146,6 +146,52 @@ def normalize_colouring(colouring: Colouring) -> Colouring:
     return Colouring(tuple(frozenset(range(end - len(cell), end)) for cell, end in zip(colouring.cells, ends)))
 
 
+# Every n up to the default cap, which holds the packed widths' edges 8/9,
+# 16/17 and 32/33, then the edges past 64 that a raised cap admits.
+PACKED_SIZES = (*range(1, 65), 65, 127, 128, 129)
+
+
+def pair_loop_rows_error(n: int, rows) -> str | None:
+    """The message of the first check that a pair-by-pair validator fails, or None.
+
+    Row by row, bits outside 0..n-1 and then a self-loop; then the pairs
+    u < v in lexicographic order, for asymmetry.
+    """
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            return f"row {v} has neighbour bits outside 0..{n - 1}"
+        if (row >> v) & 1:
+            return f"self-loop at vertex {v}"
+    for u in range(n):
+        for v in range(u + 1, n):
+            if ((rows[u] >> v) & 1) != ((rows[v] >> u) & 1):
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def pair_loop_key(rows) -> int:
+    """The Graph6 upper triangle in column order (0,1), (0,2), (1,2), ..., first pair most significant."""
+    key = 0
+    for j in range(len(rows)):
+        for i in range(j):
+            key = (key << 1) | ((rows[i] >> j) & 1)
+    return key
+
+
+def pair_loop_rows(n: int, key: int) -> list[int]:
+    """The rows whose pair_loop_key is key."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(n):
+        for i in range(j):
+            pos -= 1
+            if (key >> pos) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """All-permutations isomorphism search (early exit per permutation)."""
     if g.n != h.n or g.num_edges() != h.num_edges():

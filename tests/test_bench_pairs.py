@@ -13,6 +13,7 @@ TOOL = os.path.join(ROOT, "tools", "bench_pairs.py")
 STUB_RUN = """\
 import json, os, sys
 workload, seed = sys.argv[sys.argv.index("--workload") + 1], sys.argv[sys.argv.index("--seed") + 1]
+trace = sys.argv[sys.argv.index("--trace") + 1]
 with open("perfbench/stub.json") as fh:
     stub = json.load(fh)
 os.makedirs(".perfbench", exist_ok=True)
@@ -20,25 +21,27 @@ if stub["fail_first"] and not os.path.exists(".perfbench/ran"):
     open(".perfbench/ran", "w").close()
     print("stub: first run fails", file=sys.stderr)
     sys.exit(3)
-with open(f".perfbench/{workload}-seed{seed}-trace0.json", "w") as fh:
+with open(f".perfbench/{workload}-seed{seed}-trace{trace}.json", "w") as fh:
     json.dump({"passes": stub["passes"], "environment": {"loadavg_1m": 0.0}}, fh)
-metrics = {name: {"value": value} for name, value in stub["metrics"].items()}
+values = stub["layers"] if trace == "1" else stub["metrics"]
+metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
 print(json.dumps({"metrics": metrics, "correct": True, "failed": 0}))
 """
 
 
-def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False, passes=(2, 2)):
+def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False, passes=(2, 2), layers=({}, {})):
     """Commit a stub benchmark printing the parent metrics, leave the working tree printing the change ones, run the tool.
 
-    Each side's runs report its entry of passes as their pass count.
+    Each side's runs report its entry of passes as their pass count, and its
+    traced run its entry of layers as the per-layer metrics.
     """
     os.makedirs(tmp_path / "perfbench")
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "symmetric"}], "end_to_end": end_to_end}))
     stub = tmp_path / "perfbench" / "stub.json"
-    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent, "passes": passes[0]}))
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent, "passes": passes[0], "layers": layers[0]}))
     commit_all(tmp_path)
-    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent, "passes": passes[1]}))
+    stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent, "passes": passes[1], "layers": layers[1]}))
     out = tmp_path / "pairs.json"
     proc = subprocess.run([sys.executable, TOOL, "HEAD", "--out", str(out)], cwd=tmp_path, capture_output=True, text=True)
     return proc, json.loads(out.read_text())["workloads"]["symmetric"]
@@ -84,6 +87,21 @@ def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
     assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
         "over bound: symmetric peak_rss_mb median +15.0% (20 -> 23, passes 4 -> 6), bound 10%"
     ]
+
+
+def test_bench_pairs_keeps_each_sides_traced_layers(tmp_path):
+    # After the pairs, one --trace 1 run per side; its per-layer metrics sit
+    # side by side, a metric only one side reports reads None on the other.
+    layers = ({"codec.decode.self_s": 0.13, "old.self_s": 1.0}, {"codec.decode.self_s": 0.05, "new.self_s": 2.0})
+    proc, entry = bench_stub(tmp_path, [{"name": "wall_s", "better": "lower", "bound": 0.25}], {"wall_s": 1.0}, layers=layers)
+    assert proc.returncode == 0, proc.stderr
+    assert entry["layers"] == {
+        "codec.decode.self_s": {"unit": "s", "parent": 0.13, "change": 0.05},
+        "old.self_s": {"unit": "s", "parent": 1.0, "change": None},
+        "new.self_s": {"unit": "s", "parent": None, "change": 2.0},
+    }
+    assert [entry["traced"][side]["result"]["correct"] for side in ("parent", "change")] == [True, True]
+    assert len(entry["runs"]) == 20
 
 
 def test_provenance_hashes_untracked_files(tmp_path):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_labelled_graphs, random_graph, to_networkx
+from conftest import PACKED_SIZES, all_labelled_graphs, pair_loop_key, pair_loop_rows, random_graph, to_networkx
 from gcanon import GraphFilter, filter_graphs, generate, remove_isomorphs
 from gcanon.codec import CodecError, decode, encode_graph6, encode_sparse6, graph6_from_key, key_from_rows, rows_from_key
 from gcanon.core import Graph, Permutation, VertexCapError, ZeroVertexError, permute_graph
@@ -141,6 +141,28 @@ def test_key_round_trip():
         for m in range(n + 1):
             top = ordered_key >> (n * (n - 1) // 2 - m * (m - 1) // 2)
             assert key_from_rows(g.rows, order[:m]) == top
+
+
+def test_key_kernel_round_trips_against_the_pair_loop(monkeypatch):
+    # rows_from_key and encode_graph6 reverse the key once and transpose the
+    # lower triangle; the pair loops in conftest read and write it pair by pair.
+    from gcanon import core
+
+    monkeypatch.setattr(core, "VERTEX_CAP", 129)
+    rng = random.Random(35)
+    for n in PACKED_SIZES:
+        graphs = [Graph.empty(n), Graph.complete(n)] + [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)]
+        for g in graphs:
+            key = pair_loop_key(g.rows)
+            assert key.bit_length() <= n * (n - 1) // 2
+            assert pair_loop_rows(n, key) == list(g.rows)
+            assert rows_from_key(n, key) == list(g.rows)
+            assert key_from_rows(g.rows, range(n)) == key
+            s = encode_graph6(g)
+            assert s == graph6_from_key(n, key)
+            assert decode(s) == g
+    # n = 1 has a 0-bit key
+    assert rows_from_key(1, 0) == [0] and encode_graph6(Graph.empty(1)) == "@" and decode("@") == Graph.empty(1)
 
 
 def test_graph6_exhaustive_round_trip_small():
@@ -331,3 +353,45 @@ def test_sparse6_decodes_both_ways_with_networkx():
             assert h.number_of_nodes() == n and _edge_set(h) == g.edges()
             text = nx.to_sparse6_bytes(to_networkx(g), header=False)
             assert decode(text.decode()) == g
+
+
+def decode_outcome_corpus():
+    """Seeded Graph6/Sparse6 strings at n = 1..12, 30, 62, 63, 64, each with corrupted variants.
+
+    Per valid string: two single-byte substitutions (bytes 32..130, so some
+    are outside 63..126), two truncations, a set padding bit, and three
+    trailing additions.
+    """
+    rng = random.Random(24)
+    texts = []
+    for n in [*range(1, 13), 30, 62, 63, 64]:
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            for s in (encode_graph6(g), encode_sparse6(g)):
+                texts.append(s)
+                for _ in range(2):
+                    i = rng.randrange(len(s))
+                    texts.append(s[:i] + chr(rng.randint(32, 130)) + s[i + 1 :])
+                texts += [s[: rng.randrange(len(s))] for _ in range(2)]
+                texts.append(s[:-1] + chr(63 + ((ord(s[-1]) - 63) ^ 1)))
+                texts += [s + chr(rng.randint(63, 126)), s + "\n\n", s + "\r"]
+    return texts
+
+
+def decode_outcome(s):
+    """The rows of decode(s), or its exception's type, message and offset."""
+    try:
+        return decode(s).rows
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None)
+
+
+def test_decode_outcomes_match_recorded_digest():
+    # Every outcome, rows or error, of a fixed corpus of valid and corrupted
+    # strings is pinned: a faster decoder or validator must return the same
+    # rows and raise the same errors at the same offsets.  Recorded at commit
+    # fa91369, before Graph validation and rows_from_key used the transpose.
+    texts = decode_outcome_corpus()
+    assert len(texts) == 16 * 3 * 2 * 9
+    record = "\n".join(f"{s!r} {decode_outcome(s)!r}" for s in texts)
+    assert hashlib.sha256(record.encode()).hexdigest() == "c95ec81a90c4885e11d37bdfdfd8c5378f9fa98d16559c43f80b3e9cfb714be1"

@@ -9,12 +9,15 @@ from conftest import (
     compose,
     inverse,
     is_colour_preserving,
+    PACKED_SIZES,
     normalize_colouring,
+    pair_loop_rows_error,
     permute_colouring,
     random_colouring,
     random_graph,
     random_permutation,
 )
+from gcanon.canon import canonical_label
 from gcanon.core import (
     CAP_OVERRIDE,
     VERTEX_CAP,
@@ -25,7 +28,9 @@ from gcanon.core import (
     ZeroVertexError,
     check_vertex_count,
     connectivity_at_most,
+    packed_width,
     permute_graph,
+    transpose,
 )
 
 C5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -60,6 +65,16 @@ def test_permutation_validation():
     assert compose(p, inverse(p)).image == (0, 1, 2)
 
 
+def test_permutation_rejects_a_float_entry():
+    # 1.0 == 1 passes the sorted-range test; it used to fail later, inside
+    # permute_graph's bit shifts, with a TypeError.
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: \(0, 1\.0\)$"):
+        Permutation((0, 1.0))
+    with pytest.raises(ValueError):
+        Permutation(("0", 1))
+    assert permute_graph(Graph.path(2), Permutation((1, 0))) == Graph.path(2)
+
+
 def test_colouring_validation():
     with pytest.raises(ValueError):
         Colouring(([0, 1], [1, 2]))  # overlap
@@ -67,6 +82,16 @@ def test_colouring_validation():
         Colouring(([0], [2]))  # gap
     with pytest.raises(ValueError):
         Colouring(([0], []))  # empty cell
+
+
+def test_colouring_rejects_a_float_entry():
+    # {0, 1.0} partitions 0..1 by equality; it used to fail inside the
+    # search of canonical_label with a TypeError.
+    with pytest.raises(ValueError, match="^cell 0 holds a vertex that is not an int$"):
+        Colouring((frozenset({0, 1.0}), frozenset({2})))
+    with pytest.raises(ValueError, match="^cell 1 holds a vertex that is not an int$"):
+        Colouring(([0], [1, "2"]))
+    assert canonical_label(Graph.path(3), Colouring(([0, 1], [2]))).canonical_graph.num_edges() == 2
     assert Colouring.unit(3).cells == (frozenset({0, 1, 2}),)
 
 
@@ -317,3 +342,78 @@ def test_cap_override_is_scoped_to_its_context():
     assert contextvars.copy_context().run(raised_cap) == VERTEX_CAP + 1
     with pytest.raises(VertexCapError):
         Graph.empty(VERTEX_CAP + 1)
+
+
+def packed(rows, w):
+    return sum(row << (i * w) for i, row in enumerate(rows))
+
+
+def test_transpose_matches_the_pair_loop():
+    # Any rows, not only symmetric ones: row j of the transpose holds bit j of every row.
+    rng = random.Random(33)
+    for n in PACKED_SIZES:
+        w = packed_width(n)
+        assert w == max(8, 1 << (n - 1).bit_length())
+        for density in (0.0, 0.5, 1.0):
+            rows = [sum(1 << c for c in range(n) if rng.random() < density) for _ in range(n)]
+            columns = [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(n)]
+            assert transpose(packed(rows, w), w) == packed(columns, w)
+
+
+def asymmetric_variants(rng, n, rows):
+    """rows with defects: flipped bits, self-loops, bits past n or past the packed width, negative rows."""
+    w = packed_width(n)
+    out = []
+    for flips in (1, 2, 3):
+        bad = list(rows)
+        for _ in range(flips):
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            bad[u] ^= 1 << v
+        out.append(bad)
+    for _ in range(2):
+        bad = list(rows)
+        v = rng.randrange(n)
+        bad[v] |= 1 << v
+        if n > 2:  # an asymmetric pair before the loop does not come first
+            bad[0] ^= 1 << rng.randrange(1, n)
+        out.append(bad)
+    for high in (rng.randrange(n, w) if w > n else n, w + rng.randrange(w), 2 * w * n):
+        bad = list(rows)
+        bad[rng.randrange(n)] |= 1 << high
+        out.append(bad)
+    if n > 2:
+        # row a's bit w + b would land on the pair (a + 1, b) of the packed
+        # matrix; set (b, a + 1) and clear (a + 1, b), so the packing would look
+        # symmetric if it were not range-checked first
+        a, b = rng.randrange(n - 1), rng.randrange(n)
+        bad = list(rows)
+        bad[a] |= 1 << (w + b)
+        bad[b] |= 1 << (a + 1)
+        bad[a + 1] &= ~(1 << b)
+        out.append(bad)
+    for negative in (-1 - rng.getrandbits(n), -(1 << (w * w))):
+        # the second is all 1s from past the packed matrix up, all 0s below
+        bad = list(rows)
+        bad[rng.randrange(n)] = negative
+        out.append(bad)
+    return out
+
+
+def test_graph_validation_raises_what_the_pair_loop_finds(monkeypatch):
+    from gcanon import core
+
+    monkeypatch.setattr(core, "VERTEX_CAP", 129)
+    rng = random.Random(34)
+    for n in PACKED_SIZES:
+        for density in (0.1, 0.5, 0.9):
+            rows = list(random_graph(rng, n, density).rows)
+            assert pair_loop_rows_error(n, rows) is None
+            assert Graph(n, rows).rows == tuple(rows)
+            for bad in asymmetric_variants(rng, n, rows):
+                expected = pair_loop_rows_error(n, bad)
+                if expected is None:  # a flip can undo another
+                    assert Graph(n, bad).rows == tuple(bad)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    Graph(n, bad)
+                assert str(info.value) == expected

@@ -19,8 +19,11 @@ stderr line per such metric, naming both medians and both median pass
 counts), next to each side's failed operations, whether every run was
 correct, and each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
 last lines of its stderr, counts as not correct, and the pairs go on; metrics
-are summarised over the pairs whose two runs both finished.  It exits 1 when
-any run was not correct.  The working tree is named by ``provenance``.
+are summarised over the pairs whose two runs both finished.  After its pairs,
+each side of a workload runs once more with ``--trace 1``; ``layers`` holds
+every per-layer metric of those two runs side by side (None for a side whose
+traced run failed), and ``traced`` each side's run.  It exits 1 when any run,
+traced or not, was not correct.  The working tree is named by ``provenance``.
 Standard library only.
 """
 
@@ -72,16 +75,16 @@ def provenance(root: str) -> dict:
     }
 
 
-def run_once(tree: str, workload: str, seed: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> dict:
     """One benchmark run in tree, at the benchmark's own length: its result line and its pass count.
 
     A run that exits non-zero has no result: its exit code and the end of its stderr instead.
     """
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         return {"result": None, "exit_code": done.returncode, "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
-    with open(os.path.join(tree, ".perfbench", f"{workload}-seed{seed}-trace0.json"), encoding="utf-8") as fh:
+    with open(os.path.join(tree, ".perfbench", f"{workload}-seed{seed}-trace{trace}.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     return {
         "result": json.loads(done.stdout.strip().splitlines()[-1]),
@@ -140,6 +143,16 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def layers(traced: dict[str, dict]) -> dict:
+    """Each per-layer metric of the traced runs: its unit and each side's value, None where that run failed."""
+    out: dict[str, dict] = {}
+    for side in SIDES:
+        result = traced[side]["result"]
+        for name, metric in (result["metrics"] if result else {}).items():
+            out.setdefault(name, {"unit": metric["unit"], **dict.fromkeys(SIDES)})[side] = metric["value"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the revision to compare against, e.g. HEAD~1")
@@ -171,7 +184,15 @@ def main(argv: list[str] | None = None) -> int:
                     else:
                         said = f"wall_s {run['result']['metrics']['wall_s']['value']:.4g}, passes {run['passes']}"
                     print(f"{workload} pair {pair} {side}: {said}", file=sys.stderr)
-            bench["workloads"][workload] = {"summary": summarise(runs, metrics), "runs": runs}
+            traced = {side: run_once(trees[side], workload, args.seed, trace=1) for side in SIDES}
+            for side, run in traced.items():
+                print(f"{workload} traced {side}: {'correct' if correct(run) else 'not correct'}", file=sys.stderr)
+            bench["workloads"][workload] = {
+                "summary": summarise(runs, metrics),
+                "layers": layers(traced),
+                "traced": traced,
+                "runs": runs,
+            }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
@@ -185,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                 passes = " -> ".join(f"{entry['summary']['passes'][side]['median']:g}" for side in SIDES)
                 said += f" ({medians}, passes {passes})"
                 print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
-    wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, entry["runs"]))]
+    wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, [*entry["runs"], *entry["traced"].values()]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
     return 1 if wrong else 0
