@@ -4,12 +4,12 @@ import random
 import pytest
 
 from conftest import (
+    PACKED_SIZES,
     all_labelled_graphs,
     brute_force_isomorphic,
     compose,
     inverse,
     is_colour_preserving,
-    PACKED_SIZES,
     normalize_colouring,
     pair_loop_rows_error,
     permute_colouring,
@@ -82,6 +82,7 @@ def test_colouring_validation():
         Colouring(([0], [2]))  # gap
     with pytest.raises(ValueError):
         Colouring(([0], []))  # empty cell
+    assert Colouring.unit(3).cells == (frozenset({0, 1, 2}),)
 
 
 def test_colouring_rejects_a_float_entry():
@@ -92,7 +93,6 @@ def test_colouring_rejects_a_float_entry():
     with pytest.raises(ValueError, match="^cell 1 holds a vertex that is not an int$"):
         Colouring(([0], [1, "2"]))
     assert canonical_label(Graph.path(3), Colouring(([0, 1], [2]))).canonical_graph.num_edges() == 2
-    assert Colouring.unit(3).cells == (frozenset({0, 1, 2}),)
 
 
 def test_permute_graph_identity():
@@ -374,7 +374,7 @@ def asymmetric_variants(rng, n, rows):
         bad = list(rows)
         v = rng.randrange(n)
         bad[v] |= 1 << v
-        if n > 2:  # an asymmetric pair before the loop does not come first
+        if n > 2:  # the loop is named even when an asymmetric pair comes first
             bad[0] ^= 1 << rng.randrange(1, n)
         out.append(bad)
     for high in (rng.randrange(n, w) if w > n else n, w + rng.randrange(w), 2 * w * n):
