@@ -194,20 +194,15 @@ def search(
     rows: Sequence[int],
     cells: list[list[int]] | None = None,
     *,
-    prune: bool = True,
     known: Iterable[tuple[int, ...]] = (),
 ) -> _Search:
     """Search the graph with adjacency rows ``rows`` from sorted cells (None:
     the unit cell), refined in place; the vertex count is ``len(rows)``.
 
-    ``prune=False`` disables orbit pruning: the same key, order and group
-    from more leaves.  It exists as the reference that tests compare
-    pruning against.
-
     ``known`` holds automorphisms the caller already has, as image tuples;
     the caller vouches that each maps the graph and every input cell onto
-    itself, since nothing checks it.  They prune from the first node on and
-    change neither key nor order (see the module docstring).
+    itself, since nothing checks it.  They skip siblings from the first node
+    on and change neither key nor order (see the module docstring).
     """
     n = len(rows)
     cells = [list(range(n))] if cells is None else cells
@@ -273,7 +268,7 @@ def search(
         for i, v in enumerate(cell):
             # An orbit at this level lies inside the sorted cell, so v shares
             # one with an explored sibling exactly when it is not its minimum.
-            if i and prune and gens and (levels[d] or build_level(d))[v] != v:
+            if i and gens and (levels[d] or build_level(d))[v] != v:
                 continue
             child = cells.copy()  # cells are replaced, never changed in place
             child[target : target + 1] = [[v], [w for w in cell if w != v]]

@@ -36,7 +36,7 @@ COUNT_TABLES = {
 
 def er_connectivity_rows(max_n: int, trials: int, seed: int) -> tuple[list[int], list[int]]:
     """Connected-sample counts at p = 2 log(n)/n and p = log(n)/(2n), n = 2..max_n."""
-    connected = filters.build_graph_filter([("Connectivity", 0), ("NegateConnectivity", True)])
+    connected = filters.parse_filter_spec("!Connectivity=0")
     high = []
     low = []
     for n in range(2, max_n + 1):

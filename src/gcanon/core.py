@@ -48,7 +48,9 @@ class VertexCapError(ValueError):
 
 
 def check_vertex_count(n: int) -> None:
-    """Rejects a vertex count of 0, a negative one, or one above the cap in force."""
+    """Rejects a vertex count that is not an int, 0, a negative one, or one above the cap in force."""
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count must be an int, got {n!r}")
     if n == 0:
         raise ZeroVertexError("zero-vertex graphs are not supported")
     if n < 0:
@@ -73,13 +75,18 @@ class Graph:
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
-        if min(rows) >= 0 and max(rows) <= full:
-            w = packed_width(n)
-            m = _packed(rows, w)
-            t = transpose(m, w)
-            if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
-                return
+        try:  # a row that is not an int raises here, and the loop below names it
+            if min(rows) >= 0 and max(rows) <= full:
+                w = packed_width(n)
+                m = _packed(rows, w)
+                t = transpose(m, w)
+                if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
+                    return
+        except TypeError:
+            pass
         for v, row in enumerate(rows):
+            if not isinstance(row, int):
+                raise ValueError(f"row {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
             if (row >> v) & 1:
@@ -126,9 +133,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
         # -(2 << u) clears bits 0..u, leaving the neighbours v > u
@@ -149,33 +153,12 @@ class Graph:
         full = (1 << self.n) - 1
         return sum(_layers(self.rows, 1, full)) == full
 
-    def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """A proper two-colouring as a pair of vertex sets, or None if an odd cycle exists."""
-        sides = bipartition_masks(self.rows)
-        if sides is None:
-            return None
-        mask_a = 0
-        mask_b = 0
-        for a, b in sides:
-            mask_a |= a
-            mask_b |= b
-        return frozenset(bits(mask_a)), frozenset(bits(mask_b))
-
     def is_bipartite(self) -> bool:
         return bipartition_masks(self.rows) is not None
 
     def circuit_rank(self) -> int:
         """Cyclomatic number: edges - vertices + components.  Zero iff a forest."""
         return self.num_edges() - self.n + self.component_count()
-
-    def vertex_connectivity(self) -> int:
-        """Minimum number of vertex deletions that disconnect the graph.
-
-        Returns 0 for a disconnected graph and n - 1 for the complete graph
-        (which no deletion disconnects); otherwise the smallest k such that
-        deleting some k vertices leaves a disconnected graph.
-        """
-        return connectivity_at_most(self, self.n)
 
 
 def connectivity_at_most(graph: Graph, cap: int) -> int:
@@ -265,15 +248,8 @@ class Permutation:
         if not all(map(isinstance, image, repeat(int))) or sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
 
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(n)))
-
     def __len__(self) -> int:
         return len(self.image)
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,9 +284,6 @@ class Colouring:
     @property
     def n(self) -> int:
         return sum(len(c) for c in self.cells)
-
-    def cell_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
 
 
 def _matrix_masks(w: int) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -5,8 +5,8 @@ depth first: a child whose canonical form is new on its level is extended at
 once, with the automorphism generators its own search found.  Generation may be
 restricted by any ``GraphFilter``.  Its hereditary clauses, which every induced
 subgraph of a match also satisfies (Bipartite=true, NumEdges<=b, NumCycles<=c),
-prune the neighbourhoods on every level.  Only the residual clauses, those the
-pruning does not settle on every output graph (Connected, Connectivity,
+cut down the neighbourhoods on every level.  Only the residual clauses, those
+the pruning does not settle on every output graph (Connected, Connectivity,
 positive lower bounds, negations, Bipartite=false), are then evaluated on the
 final level; with none left, no ``Graph`` is built there.
 
@@ -86,8 +86,8 @@ class RandomModel:
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
-        if self.count < 0:
-            raise ValueError(f"sample count must be non-negative, got {self.count}")
+        if not isinstance(self.count, int) or self.count < 0:
+            raise ValueError(f"sample count must be a non-negative int, got {self.count!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {self.p}")
 

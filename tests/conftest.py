@@ -1,15 +1,19 @@
 """Shared oracles and generators for the test suite.
 
-Everything here is deliberately independent of the canonical search: the
-isomorphism oracles enumerate permutations outright so they can sit on the
-other side of dual-route checks.  The permutation and colouring oracles
-(``compose``, ``inverse``, ``permute_colouring``, ``is_colour_preserving``,
-``normalize_colouring``) work on plain image tuples and cell sets, so they
-share no code with the library they check.
+Everything here but one oracle is deliberately independent of the canonical
+search: the isomorphism oracles enumerate permutations outright so they can
+sit on the other side of dual-route checks.  The permutation and colouring
+oracles (``compose``, ``inverse``, ``permute_colouring``,
+``is_colour_preserving``, ``normalize_colouring``) work on plain image tuples
+and cell sets, so they share no code with the library they check.  The one
+exception is ``unpruned_walk``, the whole search tree that orbit pruning is
+checked against: it shares the public ``refine`` with the search, and is
+itself checked against brute force.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import itertools
@@ -20,6 +24,7 @@ import subprocess
 import sys
 from typing import Iterator
 
+from gcanon import refine
 from gcanon.cli import main
 from gcanon.core import Colouring, Graph, Permutation
 
@@ -246,6 +251,39 @@ def closure_order(generators, n: int) -> int:
                     new.append(product)
         frontier = new
     return len(seen)
+
+
+def unpruned_walk(graph: Graph, cells=None) -> tuple[int, int, int]:
+    """The whole search tree, without orbit pruning: (greatest leaf key, leaf count, group order).
+
+    ``cells`` is an ordered partition of the vertices (None: one cell).
+    Built on the public ``refine`` and on ``pair_loop_key`` only.  A node
+    whose colouring has a non-singleton cell takes the first smallest one
+    and, for each vertex v of it in ascending order, splits it into {v}
+    followed by the rest, refines, and recurses; a discrete colouring is a
+    leaf, whose key is ``pair_loop_key`` of the graph relabelled in cell
+    order (packed once per distinct relabelled graph).  The automorphisms of the coloured graph act freely on the leaves
+    of the whole tree, and the leaves with the greatest key form one orbit,
+    so their number is the group order.
+    """
+    neighbours = [[u for u in range(graph.n) if row >> u & 1] for row in graph.rows]
+    leaves: collections.Counter[tuple[int, ...]] = collections.Counter()  # relabelled rows -> leaf count
+
+    def walk(cells) -> None:
+        if len(cells) == graph.n:
+            order = [v for cell in cells for v in cell]
+            position = {v: j for j, v in enumerate(order)}
+            leaves[tuple(sum(1 << position[u] for u in neighbours[v]) for v in order)] += 1
+            return
+        target = min((i for i, c in enumerate(cells) if len(c) > 1), key=lambda i: len(cells[i]))
+        for v in sorted(cells[target]):
+            split = (*cells[:target], {v}, cells[target] - {v}, *cells[target + 1 :])
+            walk(refine(graph, Colouring(split)).cells)
+
+    walk(refine(graph, None if cells is None else Colouring(tuple(cells))).cells)
+    keys = {pair_loop_key(rows): count for rows, count in leaves.items()}
+    best = max(keys)
+    return best, leaves.total(), keys[best]
 
 
 def brute_force_automorphism_count(g: Graph, colouring=None) -> int:

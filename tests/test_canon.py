@@ -33,6 +33,7 @@ from conftest import (
     sylvester_hadamard_graph,
     to_networkx,
     triangular,
+    unpruned_walk,
 )
 from gcanon import canon, codec
 from gcanon.canon import (
@@ -151,13 +152,29 @@ def test_pruning_neutrality():
     cases = [(g, None) for g in graphs + witnesses] + [(g, random_colouring(rng, g.n)) for g in graphs]
     for g, pi in cases:
         fast = canon.search(g.rows, None if pi is None else cell_lists(pi))
-        slow = canon.search(g.rows, None if pi is None else cell_lists(pi), prune=False)
-        assert fast.key == slow.key
-        assert fast.leaves <= slow.leaves
-        order = closure_order(slow.generators, g.n)
+        key, leaves, order = unpruned_walk(g, None if pi is None else pi.cells)
+        assert fast.key == key
+        assert fast.leaves <= leaves
         assert closure_order(fast.generators, g.n) == order
         if g.n <= 6:  # the witnesses are too large to enumerate
             assert order == brute_force_automorphism_count(g, pi)
+
+
+def test_unpruned_walk_matches_brute_force_and_search():
+    # The reference walk of conftest checks the search, so it is checked
+    # itself: on a relabelling of every class with n <= 5, plain and with a
+    # random colouring, its group order is the brute-force count and its key
+    # the search's.  A walk that drifts from refine's cell order fails here.
+    rng = random.Random(39)
+    census = [codec.decode(line) for n in range(1, 6) for line in generate_graphs(n)]
+    assert len(census) == 52
+    for g in census:
+        h = permute_graph(g, random_permutation(rng, g.n))
+        for pi in (None, random_colouring(rng, g.n)):
+            key, leaves, order = unpruned_walk(h, None if pi is None else pi.cells)
+            assert order == brute_force_automorphism_count(h, pi), (h, pi)
+            assert key == canon.search(h.rows, None if pi is None else cell_lists(pi)).key, (h, pi)
+            assert order <= leaves
 
 
 def test_idempotence_of_canonical_form():
@@ -204,7 +221,7 @@ def test_coloured_isomorphism_matches_brute_force():
         else:
             h = random_graph(rng, n, rng.random())
             rho = random_colouring(rng, n)
-            if pi.cell_sizes() != rho.cell_sizes():
+            if [len(c) for c in pi.cells] != [len(c) for c in rho.cells]:
                 continue
         expected = brute_force_colour_isomorphic(g, h, pi, rho)
         assert are_isomorphic(g, h, pi, rho) == expected
@@ -460,13 +477,14 @@ def test_refine_reads_no_row_of_a_cell_its_splitters_miss():
     # further, so the cells run [v], distance 2, 4, 3, 1, then Petersen.
     rng = random.Random(38)
     g = disjoint_union([Graph.cycle(9), petersen()])
-    for sigma in [Permutation.identity(19)] + [random_permutation(rng, 19) for _ in range(4)]:
+    for sigma in [Permutation(tuple(range(19)))] + [random_permutation(rng, 19) for _ in range(4)]:
         h = permute_graph(g, sigma)
-        cycle = sorted(sigma(v) for v in range(9))
-        outer = sorted(sigma(v) for v in range(9, 19))
+        image = sigma.image
+        cycle = sorted(image[v] for v in range(9))
+        outer = sorted(image[v] for v in range(9, 19))
         for u in range(9):
-            v = sigma(u)
-            at = {k: sorted(sigma(w) for w in range(9) if min((w - u) % 9, (u - w) % 9) == k) for k in range(1, 5)}
+            v = image[u]
+            at = {k: sorted(image[w] for w in range(9) if min((w - u) % 9, (u - w) % 9) == k) for k in range(1, 5)}
             cells = [[v], [w for w in cycle if w != v], outer]
             canon._refine(RowsMissedBy(h.rows, outer), cells, deque([[v]]))
             assert cells == [[v], at[2], at[4], at[3], at[1], outer]
@@ -541,7 +559,7 @@ def test_is_automorphism_matches_permute_graph():
             gens = canonical_label(g).automorphism_generators
             sigmas = [random_permutation(rng, n) for _ in range(4)]
             for _ in range(4 if gens else 0):
-                product = Permutation.identity(n)
+                product = Permutation(tuple(range(n)))
                 for gen in rng.choices(gens, k=rng.randint(1, 3)):
                     product = compose(product, gen)
                 sigmas.append(product)
@@ -550,7 +568,7 @@ def test_is_automorphism_matches_permute_graph():
                 image[u], image[v] = v, u
                 sigmas.append(Permutation(tuple(image)))
             for sigma in sigmas:
-                support = [v for v in range(n) if sigma(v) != v]
+                support = [v for v in range(n) if sigma.image[v] != v]
                 fixes = canon._is_automorphism(RowsOf(g.rows, support), sigma.image, support)
                 assert fixes == (permute_graph(g, sigma) == g)
                 outcomes.append((density, fixes))
@@ -564,7 +582,7 @@ def test_known_automorphisms_keep_key_and_order():
     # and the group stay.  Seeds are random subsets of the plain search's
     # generators, or products of them.  The ladder pieces are those whose
     # group is small enough to close.  A seeded search visits at most the
-    # leaves of an unpruned one, but it can visit more than the plain one:
+    # leaves of the unpruned tree, but it can visit more than the plain one:
     # the last case, a relabelled 3xC4 seeded with one of its plain
     # generators and two products of them, visits 20 leaves against 18,
     # because a sigma that joins no orbit at its own level is dropped and so
@@ -606,12 +624,14 @@ def test_known_automorphisms_keep_key_and_order():
         def search(**options):
             return canon.search(g.rows, None if cells is None else [c.copy() for c in cells], **options)
 
-        plain, unpruned = search(), search(prune=False)
+        plain = search()
+        unpruned_key, unpruned_leaves, _ = unpruned_walk(g, cells)
+        assert plain.key == unpruned_key
         if known is None:
             perms = [Permutation(p) for p in plain.generators]
             known = [p.image for p in rng.sample(perms, rng.randint(0, len(perms)))]
             for _ in range(rng.randint(0, 2) if perms else 0):
-                product = Permutation.identity(g.n)
+                product = Permutation(tuple(range(g.n)))
                 for p in rng.choices(perms, k=rng.randint(1, 3)):
                     product = compose(product, p)
                 known.append(product.image)
@@ -623,7 +643,7 @@ def test_known_automorphisms_keep_key_and_order():
         for sigma in map(Permutation, found.generators):
             assert permute_graph(g, sigma) == g and is_colour_preserving(sigma, colouring)
         assert closure_order(found.generators, g.n) == closure_order(plain.generators, g.n)
-        assert found.leaves <= unpruned.leaves
+        assert found.leaves <= unpruned_leaves
     assert seeded > len(cases) // 2
 
 

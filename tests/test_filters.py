@@ -202,7 +202,7 @@ def two_k5_sharing_two() -> Graph:
 def test_connectivity_cap_witness_q4():
     # kappa(Q4) = 4 = hi + 1 for 2..3: the flows are capped at 4, not at 3
     q4 = hypercube(4)
-    assert q4.vertex_connectivity() == 4
+    assert connectivity_at_most(q4, q4.n) == 4
     assert not evaluate(parse_filter_spec("Connectivity=2..3"), q4)
     assert evaluate(parse_filter_spec("Connectivity=4"), q4)
     assert not evaluate(parse_filter_spec("Connectivity=5..9"), q4)
@@ -211,7 +211,7 @@ def test_connectivity_cap_witness_q4():
 def test_connectivity_below_minimum_degree_witness():
     # the minimum degree (4) only starts the bound; the flows bring it down to 2
     g = two_k5_sharing_two()
-    assert g.vertex_connectivity() == 2
+    assert connectivity_at_most(g, g.n) == 2
     assert evaluate(parse_filter_spec("Connectivity=2..3"), g)
     assert not evaluate(parse_filter_spec("Connectivity=3..4"), g)
     assert not evaluate(parse_filter_spec("Connectivity=1"), g)
@@ -225,7 +225,7 @@ def test_connectivity_common_neighbour_witness_k55(monkeypatch):
 
     monkeypatch.setattr(core, "_local_connectivity", no_flow)
     k55 = complete_bipartite(5, 5)
-    assert k55.vertex_connectivity() == 5
+    assert connectivity_at_most(k55, k55.n) == 5
     assert evaluate(parse_filter_spec("Connectivity=5"), k55)
     assert not evaluate(parse_filter_spec("Connectivity=2..4"), k55)
     assert not evaluate(parse_filter_spec("Connectivity=6..9"), k55)
@@ -243,7 +243,7 @@ def test_connectivity_at_most_one_runs_no_flow(monkeypatch):
     tree = Graph.from_edges(12, [(v, rng.randrange(v)) for v in range(1, 12)])
     c5_pendant = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5)])
     for g in (Graph.path(10), star, tree, c5_pendant):
-        assert g.vertex_connectivity() == 1, g
+        assert connectivity_at_most(g, g.n) == 1, g
         assert evaluate(parse_filter_spec("Connectivity=1"), g)
         assert not evaluate(parse_filter_spec("Connectivity=0"), g)
         assert evaluate(parse_filter_spec("!Connectivity=0"), g)
@@ -255,15 +255,15 @@ def test_connectivity_builds_no_edge_list(monkeypatch):
     # every flow reads its network from the adjacency rows, not from an edge list
     rng = random.Random(45)
     graphs = [random_graph(rng, 30, 0.2) for _ in range(6)]
-    graphs = [g for g in graphs if g.is_connected() and min(map(g.degree, range(g.n))) >= 2]
+    graphs = [g for g in graphs if g.is_connected() and min(row.bit_count() for row in g.rows) >= 2]
     assert graphs  # minimum degree 2 or more, so flows run
-    expected = [(connectivity_at_most(g, 4), g.vertex_connectivity()) for g in graphs]
+    expected = [(connectivity_at_most(g, 4), connectivity_at_most(g, g.n)) for g in graphs]
 
     def no_edge_list(self):
         raise AssertionError("edge list built on the connectivity path")
 
     monkeypatch.setattr(Graph, "edges", no_edge_list)
-    assert [(connectivity_at_most(g, 4), g.vertex_connectivity()) for g in graphs] == expected
+    assert [(connectivity_at_most(g, 4), connectivity_at_most(g, g.n)) for g in graphs] == expected
 
 
 def _ranges_around(k: int) -> list[tuple[int, int]]:
@@ -281,7 +281,7 @@ def test_connectivity_matches_networkx():
             graphs += [random_graph(rng, n, p) for _ in range(2)]
     for g in graphs:
         kappa = nx.node_connectivity(to_networkx(g))  # 0 when disconnected
-        assert g.vertex_connectivity() == kappa, g
+        assert connectivity_at_most(g, g.n) == kappa, g
         for lo, hi in _ranges_around(kappa):
             spec = build_graph_filter([("Connectivity", (lo, hi))])
             assert evaluate(spec, g) == (lo <= kappa <= hi), (g, lo, hi)
@@ -294,7 +294,7 @@ def _sparse_with_minimum_degree_two(rng: random.Random, count: int) -> list[Grap
     found = []
     while len(found) < count:
         g = random_graph(rng, 64, 0.1)
-        if g.is_connected() and min(map(g.degree, range(g.n))) == 2:
+        if g.is_connected() and min(row.bit_count() for row in g.rows) == 2:
             found.append(g)
     return found
 
@@ -366,19 +366,19 @@ def test_girth_components_and_bipartition_match_networkx():
         assert g.component_count() == nx.number_connected_components(h), g
         comps = core.component_masks(g.rows)
         assert [c & -c for c in comps] == sorted(c & -c for c in comps)  # ordered by smallest member
-        sides = g.bipartition()
-        assert (sides is not None) == nx.is_bipartite(h), g
-        if sides is not None:
-            a, b = sides
-            assert a | b == set(range(g.n)) and not a & b
-            assert all((u in a) != (v in a) for u, v in g.edges())
-            side_masks = core.bipartition_masks(g.rows)
+        side_masks = core.bipartition_masks(g.rows)
+        assert (side_masks is not None) == nx.is_bipartite(h), g
+        if side_masks is not None:
+            a = sum(side_a for side_a, _ in side_masks)
+            b = sum(side_b for _, side_b in side_masks)
+            assert a | b == (1 << g.n) - 1 and not a & b
+            assert all((a >> u & 1) != (a >> v & 1) for u, v in g.edges())
             assert [a | b for a, b in side_masks] == comps
             assert all(comp & -comp & a for (a, _), comp in zip(side_masks, comps))  # smallest vertex in side_a
     # the sample reaches every case the oracles distinguish
     assert any(girth(g) is None and g.component_count() > 1 for g in graphs)
-    assert any(g.bipartition() is None for g in graphs)
-    assert any(g.bipartition() is not None and girth(g) is not None for g in graphs)
+    assert any(core.bipartition_masks(g.rows) is None for g in graphs)
+    assert any(core.bipartition_masks(g.rows) is not None and girth(g) is not None for g in graphs)
     assert [girth(g) for g in (heawood, grid, hypercube(6), graphs[-2], graphs[-1])] == [6, 4, 4, 4, 4]
 
 

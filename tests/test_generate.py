@@ -29,6 +29,12 @@ def test_zero_vertex_rejected():
         generate_graphs(-2)
 
 
+def test_non_int_count_rejected():
+    # 2.0 == 2 passed the count checks and failed later with a TypeError.
+    with pytest.raises(ValueError, match=r"^vertex count must be an int, got 2\.0$"):
+        generate_graphs(2.0)
+
+
 def test_output_sorted_and_deterministic():
     first = generate_graphs(6)
     second = generate_graphs(6)
@@ -324,3 +330,11 @@ def test_random_model_validation():
         RandomModel(5, -1, 0.5)
     with pytest.raises(ValueError):
         RandomModel(5, 1, 1.5)
+
+
+def test_random_model_rejects_a_non_int_count():
+    # RandomModel(3, 1.5, 0.5) used to build, and only sampling failed.
+    with pytest.raises(ValueError, match=r"^sample count must be a non-negative int, got 1\.5$"):
+        RandomModel(3, 1.5, 0.5)
+    with pytest.raises(ValueError, match=r"^vertex count must be an int, got 3\.0$"):
+        RandomModel(3.0, 1, 0.5)

@@ -20,7 +20,13 @@ defines must be named somewhere in ``src``, ``tests``, ``perfbench`` or
 module-level one that ``gcanon.__all__`` does not export must be named in
 ``src``, ``perfbench`` or ``tools``: a helper that only tests call is an
 oracle, and belongs in ``tests/conftest.py``, where it cannot share code
-with what it checks.
+with what it checks.  The same holds one level down: every instance method
+and property of a ``src/gcanon`` class (dunders, classmethods and
+staticmethods aside) must be read as an attribute, ``x.name``, in ``src``,
+``perfbench`` or ``tools``, and every keyword-only parameter of a
+``src/gcanon`` function must be passed by name at a call of that function
+there.  A member or a keyword that only tests use is a second path that
+only tests walk.
 """
 
 from __future__ import annotations
@@ -362,4 +368,151 @@ monkeypatch.setattr(mod, "patched", None)
         "mod.py line 23: dead_in_docstring",
         "mod.py line 27: Dead",
         "mod.py line 31: only_tests_call",
+    ]
+
+
+def _exempt_method(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Dunders, and the classmethods and staticmethods that name no instance member."""
+    named = {getattr(d, "id", None) for d in node.decorator_list}
+    return (node.name.startswith("__") and node.name.endswith("__")) or bool(named & {"classmethod", "staticmethod"})
+
+
+def unread_methods(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Instance methods and properties of the classes in ``defining`` (file name -> source) that no source reads.
+
+    Only an attribute read, ``x.name`` in any source given (``defining``
+    included), counts; a string naming the method does not, and neither
+    does the definition.  Dunders, classmethods and staticmethods are exempt.
+    """
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *(ast.parse(source) for source in others)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for file_name, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _exempt_method(node):
+                    if node.name not in read:
+                        found.append((file_name, node.lineno, f"{cls.name}.{node.name}"))
+    return [f"{file_name} line {lineno}: {name}" for file_name, lineno, name in sorted(found)]
+
+
+def unpassed_keywords(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Keyword-only parameters of the functions in ``defining`` that no call passes by name.
+
+    A parameter p of a function f counts as passed where some call in any
+    source given (``defining`` included) names f, plainly or as an attribute,
+    and spells ``p=``; a ``**mapping`` at the call does not count.
+    """
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    passed = set()
+    for tree in [*trees.values(), *(ast.parse(source) for source in others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((callee, k.arg) for k in node.keywords if k.arg)
+    found = []
+    for file_name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg in node.args.kwonlyargs:
+                    if (node.name, arg.arg) not in passed:
+                        found.append((file_name, arg.lineno, f"{node.name}({arg.arg}=)"))
+    return [f"{file_name} line {lineno}: {name}" for file_name, lineno, name in sorted(found)]
+
+
+def test_library_methods_have_a_library_reader():
+    defining = {p.name: p.read_text() for p in SOURCES}
+    assert unread_methods(defining, _sources("perfbench", "tools")) == []
+
+
+def test_library_keywords_have_a_library_caller():
+    defining = {p.name: p.read_text() for p in SOURCES}
+    assert unpassed_keywords(defining, _sources("perfbench", "tools")) == []
+
+
+def test_unread_method_check_catches_test_only_members():
+    source = '''
+class Shape:
+    def __init__(self, n):
+        self.n = n
+
+    def __call__(self, v):
+        return v
+
+    @classmethod
+    def unit(cls, n):
+        return cls(n)
+
+    @staticmethod
+    def helper():
+        return 0
+
+    @property
+    def size(self):
+        return self.area()
+
+    def area(self):
+        return self.n
+
+    def degree(self, v):
+        """Read as degree only in this docstring."""
+        return v
+
+    @property
+    def label(self):
+        return "label"
+
+
+def degree(shape):
+    return shape.n
+'''
+    library = '''
+totals = {"label": 1, "degree": 2}
+shape.size = 3
+width = degree(shape)
+'''
+    assert unread_methods({"mod.py": source}, [library]) == [
+        "mod.py line 18: Shape.size",
+        "mod.py line 24: Shape.degree",
+        "mod.py line 29: Shape.label",
+    ]
+    assert unread_methods({"mod.py": source}, [library, "shape.degree(1), shape.label, shape.size"]) == []
+
+
+def test_unpassed_keyword_check_catches_test_only_keywords():
+    source = '''
+def search(rows, cells=None, *, prune=True, known=()):
+    return rows
+
+
+def walk(rows, *, depth=0, **options):
+    return search(rows, prune=depth > 0)
+
+
+class Tree:
+    def grow(self, *, height=1):
+        return height
+'''
+    library = '''
+from mod import Tree, search, walk
+
+search(rows, known=[], cells=None)
+walk(rows, **{"depth": 1})
+other(height=2)
+search(rows, None, True)
+'''
+    assert unpassed_keywords({"mod.py": source}, [library]) == [
+        "mod.py line 6: walk(depth=)",
+        "mod.py line 11: grow(height=)",
+    ]
+    # The call inside walk is what passes prune.
+    assert unpassed_keywords({"mod.py": source.replace("prune=depth > 0", "depth > 0")}, [library]) == [
+        "mod.py line 2: search(prune=)",
+        "mod.py line 6: walk(depth=)",
+        "mod.py line 11: grow(height=)",
     ]

@@ -23,13 +23,16 @@ are summarised over the pairs whose two runs both finished.  After its pairs,
 each side of a workload runs once more with ``--trace 1``; ``layers`` holds
 every per-layer metric of those two runs side by side (None for a side whose
 traced run failed), and ``traced`` each side's run.  It exits 1 when any run,
-traced or not, was not correct.  The working tree is named by ``provenance``.
+traced or not, was not correct.  The working tree is named by ``provenance``,
+and ``src_lines`` gives each tree's line count of ``src/gcanon/*.py``, the
+net line count that a change reports next to its numbers.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import io
 import json
@@ -73,6 +76,15 @@ def provenance(root: str) -> dict:
         "untracked": len(untracked),
         "diff_sha256": digest.hexdigest(),
     }
+
+
+def src_lines(tree: str) -> int:
+    """The number of lines in the files src/gcanon/*.py of tree."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "gcanon", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> dict:
@@ -173,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
         export(root, args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": root}
+        bench["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in declared["workloads"]):
             runs = []
             for pair in range(PAIRS):
