@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import codec
 from .core import Colouring, Graph, Permutation, permute_mask
@@ -344,6 +344,16 @@ def are_isomorphic(
     return search(g.rows, g_cells).key == search(h.rows, h_cells).key
 
 
+def first_of_each_class(pairs: Iterable[tuple[Graph | str, Graph]]) -> Iterator[Graph | str]:
+    """Each item of the (item, graph) pairs whose graph is the first of its isomorphism class, lazily."""
+    seen: set[tuple[int, int]] = set()
+    for item, graph in pairs:
+        key = (graph.n, search(graph.rows).key)
+        if key not in seen:
+            seen.add(key)
+            yield item
+
+
 def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     """First representative of each isomorphism class, in input order.
 
@@ -351,11 +361,4 @@ def remove_isomorphs(items: Iterable[Graph | str]) -> list[Graph | str]:
     survivors keep their original form.  Decode failures are re-raised with
     the offending item's position.
     """
-    kept: list[Graph | str] = []
-    seen: set[tuple[int, int]] = set()
-    for item, graph in codec.decode_numbered(enumerate(items), "item"):
-        key = (graph.n, search(graph.rows).key)
-        if key not in seen:
-            seen.add(key)
-            kept.append(item)
-    return kept
+    return list(first_of_each_class(codec.decode_numbered(enumerate(items), "item")))

@@ -92,12 +92,8 @@ def _cmd_label(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_short(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
-    seen: set[tuple[int, int]] = set()
-    for line, graph in codec.decode_numbered(_graph_lines(stdin), "line"):
-        key = (graph.n, canon.search(graph.rows).key)
-        if key not in seen:
-            seen.add(key)
-            out.write(line + "\n")
+    for line in canon.first_of_each_class(codec.decode_numbered(_graph_lines(stdin), "line")):
+        out.write(line + "\n")
     return 0
 
 

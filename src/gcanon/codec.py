@@ -180,46 +180,27 @@ def _decode_sparse6(s: str) -> Graph:
     n, pos = _decode_n(s, 1)
     k = max(1, (n - 1).bit_length())
     nbits = 6 * (len(s) - pos)
-    stream = _unpack(s, pos, len(s))
-
-    def bit(i: int) -> int:
-        return (stream >> (nbits - 1 - i)) & 1
-
-    def field(i: int) -> int:  # k bits starting at bit i
-        return (stream >> (nbits - i - k)) & ((1 << k) - 1)
-
-    def byte_of(i: int) -> int:
-        return pos + i // 6
-
-    def padding_from(i: int) -> bool:
-        # valid padding is all 1s, optionally led by a single 0 bit
-        return all(bit(j) for j in range(i + 1, nbits))
-
+    stream = f"{_unpack(s, pos, len(s)):0{nbits}b}"
     rows = [0] * n
-    v = 0
-    i = 0
-    while nbits - i >= k + 1:
-        b = bit(i)
-        x = field(i + 1)
-        if b:
-            v += 1
+    v = i = 0
+    while nbits - i > k:  # a whole (b, x) unit is left
+        v += stream[i] == "1"
+        x = int(stream[i + 1 : i + k + 1], 2)
         if v >= n or x >= n:
-            if not padding_from(i):
-                raise CodecError("edge data past the declared vertex count", offset=byte_of(i))
-            i = nbits
             break
-        i += k + 1
         if x > v:
             v = x
         elif x == v:
-            raise CodecError(f"loop at vertex {v}", offset=byte_of(i - k - 1))
+            raise CodecError(f"loop at vertex {v}", offset=pos + i // 6)
         elif (rows[x] >> v) & 1:
-            raise CodecError(f"repeated edge {{{x}, {v}}}", offset=byte_of(i - k - 1))
+            raise CodecError(f"repeated edge {{{x}, {v}}}", offset=pos + i // 6)
         else:
             rows[x] |= 1 << v
             rows[v] |= 1 << x
-    if not padding_from(i):
-        raise CodecError("trailing garbage after edge stream", offset=byte_of(i))
+        i += k + 1
+    if "0" in stream[i + 1 :]:  # valid padding is all 1s, optionally led by one 0
+        message = "edge data past the declared vertex count" if nbits - i > k else "trailing garbage after edge stream"
+        raise CodecError(message, offset=pos + i // 6)
     return Graph(n, tuple(rows))
 
 

@@ -48,8 +48,8 @@ class VertexCapError(ValueError):
 
 
 def check_vertex_count(n: int) -> None:
-    """Rejects a vertex count that is not an int, 0, a negative one, or one above the cap in force."""
-    if not isinstance(n, int):
+    """Rejects a vertex count that is not an int (a bool included), 0, a negative one, or one above the cap in force."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"vertex count must be an int, got {n!r}")
     if n == 0:
         raise ZeroVertexError("zero-vertex graphs are not supported")

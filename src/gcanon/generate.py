@@ -86,10 +86,14 @@ class RandomModel:
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
-        if not isinstance(self.count, int) or self.count < 0:
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
             raise ValueError(f"sample count must be a non-negative int, got {self.count!r}")
+        if not isinstance(self.p, (int, float)) or isinstance(self.p, bool):
+            raise ValueError(f"edge probability must be an int or float, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {self.p}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 def _submasks(mask: int) -> list[int]:

@@ -108,6 +108,7 @@ def test_bench_pairs_keeps_each_sides_traced_layers(tmp_path):
     assert [entry["traced"][side]["result"]["correct"] for side in ("parent", "change")] == [True, True]
     assert len(entry["runs"]) == 20
     assert json.loads((tmp_path / "pairs.json").read_text())["src_lines"] == {"parent": 3, "change": 2}
+    assert [line for line in proc.stderr.splitlines() if line.startswith("src_lines")] == ["src_lines 3 -> 2 (-1)"]
 
 
 def test_provenance_hashes_untracked_files(tmp_path):

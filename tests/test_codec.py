@@ -395,3 +395,38 @@ def test_decode_outcomes_match_recorded_digest():
     assert len(texts) == 16 * 3 * 2 * 9
     record = "\n".join(f"{s!r} {decode_outcome(s)!r}" for s in texts)
     assert hashlib.sha256(record.encode()).hexdigest() == "c95ec81a90c4885e11d37bdfdfd8c5378f9fa98d16559c43f80b3e9cfb714be1"
+
+
+def sparse6_boundary_corpus():
+    """decode_outcome_corpus's recipe at n = 15, 16, 17, 31, 32, 33, from seed 27.
+
+    These are where the Sparse6 field width k changes and, at n = 16, where
+    the 0-led padding applies.  Each seeded graph comes twice, the second
+    time with its last vertex isolated, so that its edge stream can end at
+    vertex n - 2.
+    """
+    rng = random.Random(27)
+    texts = []
+    for n in (15, 16, 17, 31, 32, 33):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            for h in (g, Graph.from_edges(n, [e for e in g.edges() if n - 1 not in e])):
+                for s in (encode_graph6(h), encode_sparse6(h)):
+                    texts.append(s)
+                    for _ in range(2):
+                        i = rng.randrange(len(s))
+                        texts.append(s[:i] + chr(rng.randint(32, 130)) + s[i + 1 :])
+                    texts += [s[: rng.randrange(len(s))] for _ in range(2)]
+                    texts.append(s[:-1] + chr(63 + ((ord(s[-1]) - 63) ^ 1)))
+                    texts += [s + chr(rng.randint(63, 126)), s + "\n\n", s + "\r"]
+    return texts
+
+
+def test_sparse6_boundary_outcomes_match_recorded_digest():
+    # The 864-string corpus jumps from n = 12 to 30 and from 33 to 62, so it
+    # misses the field-width changes at 16/17 and 32/33.  Recorded at commit
+    # bb63af5, before the Sparse6 decoder read its payload as one bit string.
+    texts = sparse6_boundary_corpus()
+    assert len(texts) == 6 * 3 * 2 * 2 * 9
+    record = "\n".join(f"{s!r} {decode_outcome(s)!r}" for s in texts)
+    assert hashlib.sha256(record.encode()).hexdigest() == "d8adba8f3b010c9dfebbe1493bd492cf1a6ef34fb4021acc3b20aed09cd12987"

@@ -67,8 +67,21 @@ def test_graph_construction_and_validation():
         (lambda: Graph(2, ("a", "b")), r"^row 0 is not an int: 'a'$"),
         (lambda: Graph.empty(2.0), r"^vertex count must be an int, got 2\.0$"),
         (lambda: Colouring.unit(2.0), r"^vertex count must be an int, got 2\.0$"),
+        (lambda: Graph(True, (0,)), r"^vertex count must be an int, got True$"),
+        (lambda: Graph.empty(True), r"^vertex count must be an int, got True$"),
+        (lambda: Colouring.unit(True), r"^vertex count must be an int, got True$"),
     ],
-    ids=["Graph-count", "Graph-float-rows", "Graph-float-row", "Graph-str-rows", "empty", "Colouring.unit"],
+    ids=[
+        "Graph-count",
+        "Graph-float-rows",
+        "Graph-float-row",
+        "Graph-str-rows",
+        "empty",
+        "Colouring.unit",
+        "Graph-bool-count",
+        "empty-bool",
+        "Colouring.unit-bool",
+    ],
 )
 def test_non_int_counts_and_rows_raise_value_error(build, message):
     # Each used to raise a TypeError from a bit shift or a comparison inside

@@ -33,6 +33,9 @@ def test_non_int_count_rejected():
     # 2.0 == 2 passed the count checks and failed later with a TypeError.
     with pytest.raises(ValueError, match=r"^vertex count must be an int, got 2\.0$"):
         generate_graphs(2.0)
+    # isinstance(True, int) holds, so generate_graphs(True) used to return ['@'].
+    with pytest.raises(ValueError, match=r"^vertex count must be an int, got True$"):
+        generate_graphs(True)
 
 
 def test_output_sorted_and_deterministic():
@@ -338,3 +341,27 @@ def test_random_model_rejects_a_non_int_count():
         RandomModel(3, 1.5, 0.5)
     with pytest.raises(ValueError, match=r"^vertex count must be an int, got 3\.0$"):
         RandomModel(3.0, 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RandomModel(True, 1, 0.5), r"^vertex count must be an int, got True$"),
+        (lambda: RandomModel(3, True, 0.5), r"^sample count must be a non-negative int, got True$"),
+        (lambda: RandomModel(3, 1, "0.5"), r"^edge probability must be an int or float, got '0\.5'$"),
+        (lambda: RandomModel(3, 1, True), r"^edge probability must be an int or float, got True$"),
+        (lambda: RandomModel(3, 1, 0.5, seed=[1]), r"^seed must be an int, got \[1\]$"),
+        (lambda: RandomModel(3, 1, 0.5, seed=True), r"^seed must be an int, got True$"),
+        (lambda: RandomModel(3, 1, 0.5, seed=1.0), r"^seed must be an int, got 1\.0$"),
+    ],
+    ids=["bool-n", "bool-count", "str-p", "bool-p", "list-seed", "bool-seed", "float-seed"],
+)
+def test_random_model_rejects_each_field_of_the_wrong_type(build, message):
+    # A str p used to raise a bare TypeError from the range comparison, a
+    # list seed failed only inside random.Random, and a bool count built.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_random_model_takes_an_int_p():
+    assert generate_random_graphs(RandomModel(4, 1, 1)) == [Graph.complete(4)]

@@ -25,7 +25,8 @@ every per-layer metric of those two runs side by side (None for a side whose
 traced run failed), and ``traced`` each side's run.  It exits 1 when any run,
 traced or not, was not correct.  The working tree is named by ``provenance``,
 and ``src_lines`` gives each tree's line count of ``src/gcanon/*.py``, the
-net line count that a change reports next to its numbers.
+net line count that a change reports next to its numbers; one stderr line,
+``src_lines PARENT -> CHANGE (+N)``, says the same before the runs start.
 Standard library only.
 """
 
@@ -185,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
         export(root, args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": root}
-        bench["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        lines = bench["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src_lines {lines['parent']} -> {lines['change']} ({lines['change'] - lines['parent']:+d})", file=sys.stderr)
         for workload in (w["name"] for w in declared["workloads"]):
             runs = []
             for pair in range(PAIRS):
