@@ -6,26 +6,33 @@ cell and recurses.  Every discrete colouring (leaf) reads off a candidate
 relabelling; the canonical graph is the candidate whose upper-triangle
 bit-vector is lexicographically greatest.
 
+The non-singleton cells, each with its vertex mask, left to right, are
+carried from node to node: ``_refine`` takes them and returns them refined, a
+node picks its target cell from them, and a child's list is its parent's
+with the target entry replaced by the rest of the cell, or dropped when that
+rest is a singleton.  So no node scans all n cells.
+
 Once a best leaf exists, each later leaf is decided without packing its
 candidate: sigma, the permutation mapping the best leaf's order onto this
-leaf's, is tested as an automorphism, reading only the rows of the points it
-moves (see ``_is_automorphism``).  The two candidates are equal exactly when
-sigma is an automorphism, so only a leaf whose sigma fails packs its key,
-which then differs from the best key; the leaf becomes the best one if its
-key is greater.  An automorphism sigma fixes the path the two leaves share
-and moves the vertex individualized at the level d where they part.  Each
-level of the current path holds an orbit array (a forest whose roots are the
-orbit minima) of the kept automorphisms that fix the path above it; the
-array is built from them when the level first needs it.  Sigma is kept only
-if it joins two orbits at level d; it is then joined into the built arrays
-of the ancestors too, whose groups contain the group at d, so a sigma that
-joins nothing at d joins nothing above it either.  A sibling is skipped when
-it shares an orbit with an explored one (cells stay sorted, so exactly when
-it is not the minimum of its orbit): its subtree is the image of an explored
-subtree, so pruning never changes the result, only how many leaves are
-visited.  The kept automorphisms generate the whole colour-preserving
-automorphism group (McKay, *Practical graph isomorphism*, 1981; McKay &
-Piperno, J. Symb. Comput. 60, 2014).
+leaf's, is tested as an automorphism on one packed transpose of the rows of
+the points it moves, and no other row is read (see ``_is_automorphism``).
+The two candidates are equal exactly when sigma is an automorphism, so only
+a leaf whose sigma fails packs its key, which then differs from the best
+key; the leaf becomes the best one if its key is greater.  An automorphism
+sigma fixes the path the two leaves share and moves the vertex
+individualized at the level d where they part.  Each level of the current
+path holds an orbit array (a forest whose roots are the orbit minima) of the
+kept automorphisms that fix the path above it; the array is built from them
+when the level first needs it.  Sigma is kept only if it joins two orbits at
+level d; it is then joined into the built arrays of the ancestors too, whose
+groups contain the group at d, so a sigma that joins nothing at d joins
+nothing above it either.  A sibling is skipped when it shares an orbit with
+an explored one (cells stay sorted, so exactly when it is not the minimum of
+its orbit): its subtree is the image of an explored subtree, so pruning
+never changes the result, only how many leaves are visited.  The kept
+automorphisms generate the whole colour-preserving automorphism group
+(McKay, *Practical graph isomorphism*, 1981; McKay & Piperno, J. Symb.
+Comput. 60, 2014).
 
 A caller that already knows automorphisms of the coloured graph passes them
 as ``known``; the kept automorphisms start from them, so orbits are coarser
@@ -56,9 +63,8 @@ canonical form, unchanged:
   skipped.  Otherwise only the non-singleton cells are visited, left to
   right, which is the order in which a visit of every cell splits them and
   queues their fragments;
-- each non-singleton cell is kept with its vertex mask, and a cell that the
-  splitter's neighbourhood misses is passed over without counting: all its
-  counts are 0, so it cannot split.
+- a non-singleton cell whose mask the splitter's neighbourhood misses is
+  passed over without counting: all its counts are 0, so it cannot split.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import codec
-from .core import Colouring, Graph, Permutation, permute_mask
+from .core import Colouring, Graph, Permutation, packed_width, transpose
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,19 +103,25 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]) -> None:
+_Opened = list[tuple[list[int], int]]  # non-singleton cells with their vertex masks, left to right
+
+
+def _opened(cells: list[list[int]]) -> _Opened:
+    """The non-singleton cells, left to right, each with its vertex mask."""
+    return [(cell, _mask(cell)) for cell in cells if len(cell) > 1]
+
+
+def _refine(rows: Sequence[int], cells: list[list[int]], opened: _Opened, alpha: deque[list[int]]) -> _Opened:
     """Refine cells in place to the coarsest equitable partition.
 
-    alpha holds the splitter cells still to be processed.
+    opened holds the non-singleton cells with their masks, left to right (see
+    ``_opened``), and alpha the splitter cells still to be processed.  Returns
+    the non-singleton cells of the result in the same form.
     """
     bc = int.bit_count
-    opened: list[tuple[list[int], int]] = []  # the non-singleton cells, left to right, with their masks
-    live = 0  # their vertices: 0 once the colouring is discrete
-    for cell in cells:
-        if len(cell) > 1:
-            cmask = _mask(cell)
-            opened.append((cell, cmask))
-            live |= cmask
+    live = 0  # the vertices of the opened cells: 0 once the colouring is discrete
+    for _, cmask in opened:
+        live |= cmask
     while alpha and live:
         smask = hood = 0
         for v in alpha.popleft():
@@ -117,7 +129,7 @@ def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]
             hood |= rows[v]
         if not hood & live:
             continue
-        still: list[tuple[list[int], int]] = []
+        still: _Opened = []
         for entry in opened:
             cell, cmask = entry
             if not cmask & hood:
@@ -143,6 +155,7 @@ def _refine(rows: Sequence[int], cells: list[list[int]], alpha: deque[list[int]]
                 else:
                     live ^= 1 << frag[0]
         opened = still
+    return opened
 
 
 def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
@@ -174,18 +187,22 @@ def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterabl
     """Whether sigma maps the graph onto itself, given the points sigma moves.
 
     Only the rows of moved points are read: an edge between two fixed points
-    is its own image.  A row with more than n/2 bits is tested through its
-    complement in range(n), which holds the point itself.
+    is its own image, and every other edge has a moved end u, where sigma
+    must map N(u) onto N(sigma(u)).  Row v of each moved v is placed at row sigma(v) of a
+    packed matrix (``core.packed_width``), which is transposed once; row u of
+    the transpose is then {sigma(v) : v moved, v ~ u}, and with the fixed
+    neighbours of u added it is sigma(N(u)), which must be N(sigma(u)).
     """
-    n = len(sigma)
-    full = (1 << n) - 1
-    image_bits = [1 << w for w in sigma]
+    w = packed_width(len(sigma))
+    moved = m = 0
     for v in support:
-        row, target = rows[v], rows[sigma[v]]
-        if row.bit_count() * 2 > n:
-            row ^= full
-            target ^= full
-        if permute_mask(image_bits, row) != target:
+        moved |= 1 << v
+        m |= rows[v] << sigma[v] * w
+    t = transpose(m, w)
+    row_mask = (1 << w) - 1
+    fixed = ~moved
+    for u in support:
+        if (t >> u * w) & row_mask | rows[u] & fixed != rows[sigma[u]]:
             return False
     return True
 
@@ -250,35 +267,37 @@ def search(
             best_key = key
             best_order = order
 
-    def recurse(cells: list[list[int]]) -> None:
-        target = -1
-        target_size = n + 1
-        for idx, cell in enumerate(cells):
-            if 1 < len(cell) < target_size:
-                target = idx
-                target_size = len(cell)
-                if target_size == 2:
-                    break
-        if target < 0:
+    def recurse(cells: list[list[int]], opened: _Opened) -> None:
+        if not opened:
             process_leaf(cells)
             return
+        t = -1
+        size = n + 1
+        for i, (cell, _) in enumerate(opened):
+            if len(cell) < size:
+                t = i
+                size = len(cell)
+                if size == 2:
+                    break
+        cell, cmask = opened[t]
+        target = cells.index(cell)
         d = len(base)
         levels[d] = None
-        cell = cells[target]
         for i, v in enumerate(cell):
             # An orbit at this level lies inside the sorted cell, so v shares
             # one with an explored sibling exactly when it is not its minimum.
             if i and gens and (levels[d] or build_level(d))[v] != v:
                 continue
+            rest = [w for w in cell if w != v]
             child = cells.copy()  # cells are replaced, never changed in place
-            child[target : target + 1] = [[v], [w for w in cell if w != v]]
-            _refine(rows, child, deque([[v]]))
+            child[target : target + 1] = [[v], rest]
+            child_opened = opened.copy()
+            child_opened[t : t + 1] = [(rest, cmask ^ 1 << v)] if len(rest) > 1 else []
             base.append(v)
-            recurse(child)
+            recurse(child, _refine(rows, child, child_opened, deque([[v]])))
             base.pop()
 
-    _refine(rows, cells, deque(cells))
-    recurse(cells)
+    recurse(cells, _refine(rows, cells, _opened(cells), deque(cells)))
     return _Search(best_key, best_order, gens, leaf_count)
 
 
@@ -297,7 +316,7 @@ def refine(graph: Graph, colouring: Colouring | None = None) -> Colouring:
     first have the same number of neighbours in the second.
     """
     cells = _cells_for(graph, colouring)
-    _refine(graph.rows, cells, deque(cells))
+    _refine(graph.rows, cells, _opened(cells), deque(cells))
     return Colouring(tuple(frozenset(c) for c in cells))
 
 

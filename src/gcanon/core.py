@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
@@ -58,6 +57,12 @@ def check_vertex_count(n: int) -> None:
     cap = CAP_OVERRIDE.get(VERTEX_CAP)
     if n > cap:
         raise VertexCapError(f"{n} vertices exceeds the cap of {cap}")
+
+
+def _all_ints(values: Iterable[object]) -> bool:
+    """Whether every value is an int and none is a bool, as ``check_vertex_count`` asks
+    of a count: one pass over the values collects their types, which are then few."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,6 +105,8 @@ class Graph:
         check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
+            if not (type(u) is int is type(v) or _all_ints((u, v))):  # two exact ints build no type set
+                raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             rows[u] |= 1 << v
@@ -244,8 +251,8 @@ class Permutation:
     def __post_init__(self) -> None:
         image = tuple(self.image)
         object.__setattr__(self, "image", image)
-        # 1.0 == 1, so only the type check keeps a float out of the bit shifts
-        if not all(map(isinstance, image, repeat(int))) or sorted(image) != list(range(len(image))):
+        # 1.0 == 1 and True == 1 pass the range test, so only the type check rejects them
+        if not _all_ints(image) or sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
 
     def __len__(self) -> int:
@@ -266,7 +273,7 @@ class Colouring:
         for i, cell in enumerate(cells):
             if not cell:
                 raise ValueError(f"cell {i} is empty")
-            if not all(map(isinstance, cell, repeat(int))):
+            if not _all_ints(cell):
                 raise ValueError(f"cell {i} holds a vertex that is not an int")
             if cell & seen:
                 raise ValueError(f"cell {i} overlaps an earlier cell")

@@ -331,6 +331,12 @@ def hypercube(d: int) -> Graph:
     return Graph.from_edges(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d) for i in range(d) if v < v ^ (1 << i)])
 
 
+def paley(q: int) -> Graph:
+    """Paley graph on the prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u, v in all_pairs(q) if (v - u) % q in squares])
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

@@ -69,6 +69,8 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     summary = entry["summary"]
     assert summary["parent"] == summary["change"] == {"failed": 0, "correct": False}
     assert summary["wall_s"]["pairs"] == 9
+    # Ties count for neither side, and a pair with a failed run is not counted.
+    assert "claim: symmetric wall_s median 1 -> 1 (+0.0%), change wins 0 of 9, parent IQR 0.0% of its median" in proc.stderr
     assert summary["passes"] == {side: {"median": 2, "q1": 2, "q3": 2} for side in ("parent", "change")}
 
 
@@ -91,6 +93,12 @@ def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
     assert summary["passes"] == {"parent": {"median": 4, "q1": 4, "q3": 4}, "change": {"median": 6, "q1": 6, "q3": 6}}
     assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
         "over bound: symmetric peak_rss_mb median +15.0% (20 -> 23, passes 4 -> 6), bound 10%"
+    ]
+    # One claim line per end-to-end metric, in the order BENCHMARK.json lists them.
+    assert [line for line in proc.stderr.splitlines() if line.startswith("claim")] == [
+        "claim: symmetric wall_s median 2 -> 1 (-50.0%), change wins 10 of 10, parent IQR 0.0% of its median",
+        "claim: symmetric peak_rss_mb median 20 -> 23 (+15.0%), change wins 0 of 10, parent IQR 0.0% of its median",
+        "claim: symmetric per_s median 100 -> 150 (+50.0%), change wins 10 of 10, parent IQR 0.0% of its median",
     ]
 
 
@@ -130,3 +138,19 @@ def test_provenance_hashes_untracked_files(tmp_path):
     assert (added["dirty"], added["untracked"]) == (True, 1)
     (tmp_path / "new.py").write_text("x = 2\n")
     assert tool.provenance(str(tmp_path))["diff_sha256"] not in (clean["diff_sha256"], added["diff_sha256"])
+
+
+def test_claim_figures_give_the_parents_iqr_as_a_share_of_its_median():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    summary = {
+        "parent": {"median": 0.8, "q1": 0.79, "q3": 0.83},
+        "change": {"median": 0.64, "q1": 0.63, "q3": 0.66},
+        "change_wins": 9,
+        "pairs": 10,
+        "median_change": -0.2,
+    }
+    assert tool.claim_figures(summary) == "median 0.8 -> 0.64 (-20.0%), change wins 9 of 10, parent IQR 5.0% of its median"
+    zero = {**summary, "parent": {"median": 0, "q1": 0, "q3": 0}, "median_change": None}
+    assert tool.claim_figures(zero) == "median 0 -> 0.64 (from 0), change wins 9 of 10, parent IQR undefined of its median"

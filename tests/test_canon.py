@@ -23,6 +23,7 @@ from conftest import (
     johnson,
     latin_square_graph,
     normalize_colouring,
+    paley,
     permute_colouring,
     petersen,
     projective_plane_incidence,
@@ -441,7 +442,7 @@ class RowsUntilDiscrete:
 def test_refine_stops_once_discrete():
     rng = random.Random(36)
     cells = [[v] for v in random_permutation(rng, 9).image]
-    canon._refine(RowsUntilDiscrete(Graph.cycle(9).rows, cells), cells, deque(cells))
+    canon._refine(RowsUntilDiscrete(Graph.cycle(9).rows, cells), cells, canon._opened(cells), deque(cells))
     assert len(cells) == 9
     # Rigid graphs turn discrete partway through refinement, with splitters
     # left over; none of them may read a row.
@@ -450,7 +451,7 @@ def test_refine_stops_once_discrete():
         g = random_graph(rng, 20)
         cells = [list(range(20))]
         alpha = deque(cells)
-        canon._refine(RowsUntilDiscrete(g.rows, cells), cells, alpha)
+        canon._refine(RowsUntilDiscrete(g.rows, cells), cells, canon._opened(cells), alpha)
         assert Colouring(tuple(cells)) == refine(g)
         stopped += len(cells) == 20 and bool(alpha)
     assert stopped
@@ -486,7 +487,7 @@ def test_refine_reads_no_row_of_a_cell_its_splitters_miss():
             v = image[u]
             at = {k: sorted(image[w] for w in range(9) if min((w - u) % 9, (u - w) % 9) == k) for k in range(1, 5)}
             cells = [[v], [w for w in cycle if w != v], outer]
-            canon._refine(RowsMissedBy(h.rows, outer), cells, deque([[v]]))
+            canon._refine(RowsMissedBy(h.rows, outer), cells, canon._opened(cells), deque([[v]]))
             assert cells == [[v], at[2], at[4], at[3], at[1], outer]
 
 
@@ -540,10 +541,9 @@ def plant_twins(rng, g, pairs):
 
 
 def test_is_automorphism_matches_permute_graph():
-    # Densities 0.1-0.9 run both the sparse branch and the one through
-    # complements; sigma is a random permutation, a product of returned
-    # generators or a transposition of twins, and may read only the rows of
-    # the points it moves.
+    # Densities 0.1-0.9 give sparse and dense rows; sigma is a random
+    # permutation, a product of returned generators or a transposition of
+    # twins, and may read only the rows of the points it moves.
     rng = random.Random(37)
     outcomes = []
     for density in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -574,6 +574,76 @@ def test_is_automorphism_matches_permute_graph():
                 outcomes.append((density, fixes))
     for density in (0.1, 0.9):
         assert (density, True) in outcomes and (density, False) in outcomes
+
+
+def sigmas_to_test(rng, g, count):
+    """count random permutations of g's vertices, count products of the generators
+    canonical_label returns for g, and the transpositions of up to count twin pairs."""
+    n = g.n
+    sigmas = [random_permutation(rng, n) for _ in range(count)]
+    gens = canonical_label(g).automorphism_generators
+    for _ in range(count if gens else 0):
+        product = Permutation(tuple(range(n)))
+        for gen in rng.choices(gens, k=rng.randint(1, 3)):
+            product = compose(product, gen)
+        sigmas.append(product)
+    twins = [(u, v) for u, v in itertools.combinations(range(n), 2) if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)]
+    for u, v in rng.sample(twins, min(count, len(twins))):
+        image = list(range(n))
+        image[u], image[v] = v, u
+        sigmas.append(Permutation(tuple(image)))
+    return sigmas
+
+
+def test_is_automorphism_matches_permute_graph_at_every_width(monkeypatch):
+    # The packed matrix of the test is w = packed_width(n) bits wide: every n
+    # from 25 to 64 and each side of a width edge (8/9, 16/17, 32/33 and, under
+    # a raised cap, 64/65 and 128/129), then the ladder families at the cap.
+    from gcanon import core
+
+    monkeypatch.setattr(core, "VERTEX_CAP", 129)
+    rng = random.Random(40)
+    graphs = []
+    for n in [8, 9, 16, 17, 32, 33, *range(25, 65), 65, 129]:
+        g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        graphs.append(plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(3)]))
+    ladder = [hypercube(6), paley(61), disjoint_union([petersen()] * 6), complete_bipartite(32, 32)]
+    graphs += [permute_graph(g, random_permutation(rng, g.n)) for g in ladder]
+    outcomes = set()
+    with deadline(60):
+        for g in graphs:
+            for sigma in sigmas_to_test(rng, g, 3):
+                support = [v for v in range(g.n) if sigma.image[v] != v]
+                fixes = canon._is_automorphism(RowsOf(g.rows, support), sigma.image, support)
+                assert fixes == (permute_graph(g, sigma) == g), (g.n, sigma)
+                outcomes.add((g.n, fixes))
+    for n in (8, 9, 16, 17, 32, 33, 60, 61, 64, 65, 129):
+        assert (n, True) in outcomes and (n, False) in outcomes, n
+
+
+def test_refine_returns_the_open_cells():
+    # _refine returns exactly the non-singleton cells of its result, left to
+    # right, each the list object in cells with its vertex mask: from the
+    # colouring's own cells, and from a refined colouring with one vertex
+    # individualized, as a search child starts.
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        cells = [sorted(c) for c in random_colouring(rng, n).cells]
+        starts = [(cells, deque(cells))]
+        refined = [sorted(c) for c in refine(g, Colouring(tuple(cells))).cells]
+        big = [i for i, c in enumerate(refined) if len(c) > 1]
+        if big:
+            i = rng.choice(big)
+            v = rng.choice(refined[i])
+            refined[i : i + 1] = [[v], [w for w in refined[i] if w != v]]
+            starts.append((refined, deque([[v]])))
+        for start, alpha in starts:
+            opened = canon._refine(g.rows, start, canon._opened(start), alpha)
+            assert [cell for cell, _ in opened] == [c for c in start if len(c) > 1]
+            assert all(any(cell is c for c in start) for cell, _ in opened)
+            assert [m for _, m in opened] == [sum(1 << v for v in cell) for cell, _ in opened]
 
 
 def test_known_automorphisms_keep_key_and_order():

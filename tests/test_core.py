@@ -90,6 +90,28 @@ def test_non_int_counts_and_rows_raise_value_error(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [((0.0, 2), r"^edge \(0\.0, 2\) has an end that is not an int$"), ((True, 2), r"^edge \(True, 2\) has an end that is not an int$")],
+    ids=["float-end", "bool-end"],
+)
+def test_from_edges_rejects_an_end_that_is_not_an_int(edge, message):
+    # A float end used to raise a bare TypeError from the row index, and a
+    # bool end built the edge {1, 2}.
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(3, [edge])
+
+
+def test_permutation_and_colouring_reject_bool_entries():
+    # True == 1, so both passed the sorted-range and partition tests and built.
+    with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.1: \(True, 0\)$"):
+        Permutation((True, 0))
+    with pytest.raises(ValueError, match="^cell 0 holds a vertex that is not an int$"):
+        Colouring((frozenset({True}), frozenset({0})))
+    with pytest.raises(ValueError, match="^cell 1 holds a vertex that is not an int$"):
+        Colouring(([0], [False, 2], [1]))
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((0, 0, 2))

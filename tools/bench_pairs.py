@@ -27,7 +27,10 @@ traced or not, was not correct.  The working tree is named by ``provenance``,
 and ``src_lines`` gives each tree's line count of ``src/gcanon/*.py``, the
 net line count that a change reports next to its numbers; one stderr line,
 ``src_lines PARENT -> CHANGE (+N)``, says the same before the runs start.
-Standard library only.
+After the pairs, one ``claim:`` stderr line per workload and end-to-end metric
+gives the figures a gain claim is judged by: both medians, the median change,
+the change's wins out of the pairs and the parent's IQR as a share of its
+median.  Standard library only.
 """
 
 from __future__ import annotations
@@ -156,6 +159,18 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def claim_figures(summary: dict) -> str:
+    """What a gain claim is judged by: both medians, the median change, the
+    change's wins out of the pairs, and the parent's IQR as a share of its median."""
+    parent, change = summary["parent"], summary["change"]
+    moved = "from 0" if summary["median_change"] is None else f"{summary['median_change']:+.1%}"
+    iqr = f"{(parent['q3'] - parent['q1']) / parent['median']:.1%}" if parent["median"] else "undefined"
+    return (
+        f"median {parent['median']:.4g} -> {change['median']:.4g} ({moved}), "
+        f"change wins {summary['change_wins']} of {summary['pairs']}, parent IQR {iqr} of its median"
+    )
+
+
 def layers(traced: dict[str, dict]) -> dict:
     """Each per-layer metric of the traced runs: its unit and each side's value, None where that run failed."""
     out: dict[str, dict] = {}
@@ -214,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in bench["workloads"].items():
         for metric in metrics:
             summary = entry["summary"].get(metric["name"])
+            if summary:
+                print(f"claim: {workload} {metric['name']} {claim_figures(summary)}", file=sys.stderr)
             if summary and summary["over_bound"]:
                 change = summary["median_change"]
                 said = "from 0" if change is None else f"{change:+.1%}"
