@@ -20,17 +20,15 @@ The two candidates are equal exactly when sigma is an automorphism, so only
 a leaf whose sigma fails packs its key, which then differs from the best
 key; the leaf becomes the best one if its key is greater.  An automorphism
 sigma fixes the path the two leaves share and moves the vertex
-individualized at the level d where they part.  Each level of the current
-path holds an orbit array (a forest whose roots are the orbit minima) of the
-kept automorphisms that fix the path above it; the array is built from them
-when the level first needs it.  Sigma is kept only if it joins two orbits at
-level d; it is then joined into the built arrays of the ancestors too, whose
-groups contain the group at d, so a sigma that joins nothing at d joins
-nothing above it either.  A sibling is skipped when it shares an orbit with
-an explored one (cells stay sorted, so exactly when it is not the minimum of
-its orbit): its subtree is the image of an explored subtree, so pruning
-never changes the result, only how many leaves are visited.  The kept
-automorphisms generate the whole colour-preserving automorphism group
+individualized at the level d where they part.  ``levels[i]`` is None or
+the orbit array (a forest whose roots are the orbit minima) of the kept
+automorphisms that fix ``base[:i]``, built from them when level i needs it.
+Sigma is kept only if it joins two orbits at level d; ``levels[:d]`` is then
+reset, to be built again with sigma.  A sibling is skipped when it shares an
+orbit with an explored one (cells stay sorted, so exactly when it is not the
+minimum of its orbit): its subtree is the image of an explored subtree, so
+pruning never changes the result, only how many leaves are visited.  The
+kept automorphisms generate the whole colour-preserving automorphism group
 (McKay, *Practical graph isomorphism*, 1981; McKay & Piperno, J. Symb.
 Comput. 60, 2014).
 
@@ -258,9 +256,7 @@ def search(
                 if _join(levels[d] or build_level(d), sigma, support):
                     gens.append(tuple(sigma))
                     moved.append((_mask(support), support))
-                    for orbits in levels[:d]:
-                        if orbits is not None:
-                            _join(orbits, sigma, support)
+                    levels[:d] = [None] * d
                 return
         key = codec.key_from_rows(rows, order)  # not the best key: that would make sigma an automorphism
         if key > best_key:

@@ -11,8 +11,9 @@ the most significant bit, so comparing keys compares encoded strings.
 Reversed, the key holds column j as the j bits from j(j-1)/2 up: the lower j
 bits of row j.  So ``encode_graph6`` reverses the gathered lower triangle
 once, and ``rows_from_key`` reverses the key once and ORs in the transpose
-of that triangle (``core.transpose``) for the upper bits.  Bytes are read
-and checked in order first, so every error keeps its message and offset.
+of that triangle (``core.transpose``) for the upper bits; a Graph6 payload
+is the key and then zero padding, read back through it.  Bytes are read and
+checked in order first, so every error keeps its message and offset.
 
 Decoding checks the header's vertex count with ``check_vertex_count``, so a
 zero-vertex string fails as a zero-vertex ``Graph`` would; Sparse6 streams
@@ -64,11 +65,7 @@ def _reverse(x: int, nbits: int) -> int:
 
 def rows_from_key(n: int, key: int) -> list[int]:
     """Inverse of key_from_rows for the identity order range(n)."""
-    return _rows_from_lower(n, _reverse(key, triangle_bits(n)))
-
-
-def _rows_from_lower(n: int, lower: int) -> list[int]:
-    """The rows of the graph whose key, reversed, is lower."""
+    lower = _reverse(key, triangle_bits(n))
     w = packed_width(n)
     m = 0
     for j in range(1, n):
@@ -169,11 +166,11 @@ def _decode_graph6(s: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(s) - pos > nbytes:
         raise CodecError("trailing bytes after adjacency payload", offset=pos + nbytes)
-    # reversed, the payload is the reversed key with the padding above it
-    lower = _reverse(_unpack(s, pos, pos + nbytes), 6 * nbytes)
-    if lower >> nbits:
+    payload = _unpack(s, pos, pos + nbytes)
+    pad = 6 * nbytes - nbits
+    if payload & ((1 << pad) - 1):
         raise CodecError("nonzero padding bits", offset=pos + nbytes - 1)
-    return Graph(n, _rows_from_lower(n, lower))
+    return Graph(n, rows_from_key(n, payload >> pad))
 
 
 def _decode_sparse6(s: str) -> Graph:

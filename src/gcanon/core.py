@@ -15,7 +15,8 @@ rejected with the same message everywhere.
 
 Every breadth-first walk of a graph is ``_layers``, which returns the
 distance layers from a root as bitmasks: ``component_masks``,
-``bipartition_masks`` and ``girth`` read their answers off those layers.
+``bipartition_masks`` (both through ``_component_layers``) and ``girth``
+read their answers off those layers.
 (The connectivity flow searches its own residual digraph instead.)
 
 Whole-matrix steps pack the n rows into one n*w-bit integer, row i from bit
@@ -62,7 +63,8 @@ def check_vertex_count(n: int) -> None:
 def _all_ints(values: Iterable[object]) -> bool:
     """Whether every value is an int and none is a bool, as ``check_vertex_count`` asks
     of a count: one pass over the values collects their types, which are then few."""
-    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+    types = set(map(type, values))
+    return types == {int} or all(issubclass(t, int) and t is not bool for t in types)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,17 +82,14 @@ class Graph:
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
-        try:  # a row that is not an int raises here, and the loop below names it
-            if min(rows) >= 0 and max(rows) <= full:
-                w = packed_width(n)
-                m = _packed(rows, w)
-                t = transpose(m, w)
-                if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
-                    return
-        except TypeError:
-            pass
+        if _all_ints(rows) and min(rows) >= 0 and max(rows) <= full:
+            w = packed_width(n)
+            m = _packed(rows, w)
+            t = transpose(m, w)
+            if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
+                return
         for v, row in enumerate(rows):
-            if not isinstance(row, int):
+            if not _all_ints((row,)):
                 raise ValueError(f"row {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"row {v} has neighbour bits outside 0..{n - 1}")
@@ -104,7 +103,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
         check_vertex_count(n)
         rows = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
             if not (type(u) is int is type(v) or _all_ints((u, v))):  # two exact ints build no type set
                 raise ValueError(f"edge ({u!r}, {v!r}) has an end that is not an int")
             if not (0 <= u < n and 0 <= v < n):
@@ -386,15 +389,18 @@ def _layers(rows: Sequence[int], root: int, within: int) -> list[int]:
     return layers
 
 
+def _component_layers(rows: Sequence[int]) -> Iterator[list[int]]:
+    """Each connected component's ``_layers`` from its smallest vertex, in the order of those vertices."""
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        layers = _layers(rows, unseen & -unseen, unseen)
+        unseen ^= sum(layers)
+        yield layers
+
+
 def component_masks(rows: Sequence[int]) -> list[int]:
     """Connected components as vertex bitmasks, ordered by smallest member."""
-    unseen = (1 << len(rows)) - 1
-    comps = []
-    while unseen:
-        comp = sum(_layers(rows, unseen & -unseen, unseen))
-        unseen ^= comp
-        comps.append(comp)
-    return comps
+    return [sum(layers) for layers in _component_layers(rows)]
 
 
 def bipartition_masks(rows: Sequence[int]) -> list[tuple[int, int]] | None:
@@ -403,10 +409,8 @@ def bipartition_masks(rows: Sequence[int]) -> list[tuple[int, int]] | None:
     Even layers from a component's smallest vertex form side_a, so the result
     is deterministic; an edge inside a layer closes an odd cycle.
     """
-    unseen = (1 << len(rows)) - 1
     sides = []
-    while unseen:
-        layers = _layers(rows, unseen & -unseen, unseen)
+    for layers in _component_layers(rows):
         for layer in layers:
             m = layer
             while m:
@@ -414,10 +418,8 @@ def bipartition_masks(rows: Sequence[int]) -> list[tuple[int, int]] | None:
                 if rows[b.bit_length() - 1] & layer:
                     return None
                 m ^= b
-        comp = sum(layers)
         side_a = sum(layers[::2])
-        unseen ^= comp
-        sides.append((side_a, comp ^ side_a))
+        sides.append((side_a, sum(layers) ^ side_a))
     return sides
 
 

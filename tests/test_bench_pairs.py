@@ -91,14 +91,13 @@ def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):
     assert summary["peak_rss_mb"]["median_change"] == 0.15 and summary["peak_rss_mb"]["over_bound"]
     assert (summary["per_s"]["median_change"], summary["per_s"]["over_bound"]) == (0.5, False)
     assert summary["passes"] == {"parent": {"median": 4, "q1": 4, "q3": 4}, "change": {"median": 6, "q1": 6, "q3": 6}}
-    assert [line for line in proc.stderr.splitlines() if line.startswith("over bound")] == [
-        "over bound: symmetric peak_rss_mb median +15.0% (20 -> 23, passes 4 -> 6), bound 10%"
-    ]
-    # One claim line per end-to-end metric, in the order BENCHMARK.json lists them.
+    # One claim line per end-to-end metric, in the order BENCHMARK.json lists
+    # them; the one over its bound carries the tag.
     assert [line for line in proc.stderr.splitlines() if line.startswith("claim")] == [
-        "claim: symmetric wall_s median 2 -> 1 (-50.0%), change wins 10 of 10, parent IQR 0.0% of its median",
-        "claim: symmetric peak_rss_mb median 20 -> 23 (+15.0%), change wins 0 of 10, parent IQR 0.0% of its median",
-        "claim: symmetric per_s median 100 -> 150 (+50.0%), change wins 10 of 10, parent IQR 0.0% of its median",
+        "claim: symmetric wall_s median 2 -> 1 (-50.0%), change wins 10 of 10, parent IQR 0.0% of its median, passes 4 -> 6",
+        "claim: symmetric peak_rss_mb median 20 -> 23 (+15.0%), change wins 0 of 10, parent IQR 0.0% of its median,"
+        " passes 4 -> 6, OVER BOUND 10%",
+        "claim: symmetric per_s median 100 -> 150 (+50.0%), change wins 10 of 10, parent IQR 0.0% of its median, passes 4 -> 6",
     ]
 
 

@@ -65,6 +65,8 @@ def test_graph_construction_and_validation():
         (lambda: Graph(2, (2.0, 1.0)), r"^row 0 is not an int: 2\.0$"),
         (lambda: Graph(2, (2, 1.0)), r"^row 1 is not an int: 1\.0$"),
         (lambda: Graph(2, ("a", "b")), r"^row 0 is not an int: 'a'$"),
+        (lambda: Graph(2, (2, True)), r"^row 1 is not an int: True$"),
+        (lambda: Graph(1, (False,)), r"^row 0 is not an int: False$"),
         (lambda: Graph.empty(2.0), r"^vertex count must be an int, got 2\.0$"),
         (lambda: Colouring.unit(2.0), r"^vertex count must be an int, got 2\.0$"),
         (lambda: Graph(True, (0,)), r"^vertex count must be an int, got True$"),
@@ -76,6 +78,8 @@ def test_graph_construction_and_validation():
         "Graph-float-rows",
         "Graph-float-row",
         "Graph-str-rows",
+        "Graph-bool-row",
+        "Graph-bool-rows",
         "empty",
         "Colouring.unit",
         "Graph-bool-count",
@@ -85,7 +89,7 @@ def test_graph_construction_and_validation():
 )
 def test_non_int_counts_and_rows_raise_value_error(build, message):
     # Each used to raise a TypeError from a bit shift or a comparison inside
-    # the library.
+    # the library, except a bool row, which built.
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -98,6 +102,18 @@ def test_non_int_counts_and_rows_raise_value_error(build, message):
 def test_from_edges_rejects_an_end_that_is_not_an_int(edge, message):
     # A float end used to raise a bare TypeError from the row index, and a
     # bool end built the edge {1, 2}.
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(3, [edge])
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [(5, r"^edge 5 is not a pair of vertices$"), ((0, 1, 2), r"^edge \(0, 1, 2\) is not a pair of vertices$")],
+    ids=["int", "triple"],
+)
+def test_from_edges_rejects_an_edge_that_is_not_a_pair(edge, message):
+    # They used to raise a bare TypeError and a ValueError from the unpacking,
+    # neither naming the edge.
     with pytest.raises(ValueError, match=message):
         Graph.from_edges(3, [edge])
 

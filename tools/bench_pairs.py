@@ -14,10 +14,9 @@ The JSON written to ``--out`` holds every run's result line (the last line
 ``.perfbench/<workload>-seed<seed>-trace0.json``), and, per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
 the working tree won, the relative change of the median and whether it is
-worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``, one
-stderr line per such metric, naming both medians and both median pass
-counts), next to each side's failed operations, whether every run was
-correct, and each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
+worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``),
+next to each side's failed operations, whether every run was correct, and
+each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
 last lines of its stderr, counts as not correct, and the pairs go on; metrics
 are summarised over the pairs whose two runs both finished.  After its pairs,
 each side of a workload runs once more with ``--trace 1``; ``layers`` holds
@@ -30,7 +29,8 @@ net line count that a change reports next to its numbers; one stderr line,
 After the pairs, one ``claim:`` stderr line per workload and end-to-end metric
 gives the figures a gain claim is judged by: both medians, the median change,
 the change's wins out of the pairs and the parent's IQR as a share of its
-median.  Standard library only.
+median, then both pass-count medians, and ``OVER BOUND`` with the bound when
+``over_bound`` is set.  Standard library only.
 """
 
 from __future__ import annotations
@@ -230,14 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         for metric in metrics:
             summary = entry["summary"].get(metric["name"])
             if summary:
-                print(f"claim: {workload} {metric['name']} {claim_figures(summary)}", file=sys.stderr)
-            if summary and summary["over_bound"]:
-                change = summary["median_change"]
-                said = "from 0" if change is None else f"{change:+.1%}"
-                medians = " -> ".join(f"{summary[side]['median']:.4g}" for side in SIDES)
                 passes = " -> ".join(f"{entry['summary']['passes'][side]['median']:g}" for side in SIDES)
-                said += f" ({medians}, passes {passes})"
-                print(f"over bound: {workload} {metric['name']} median {said}, bound {metric['bound']:.0%}", file=sys.stderr)
+                tag = f", OVER BOUND {metric['bound']:.0%}" if summary["over_bound"] else ""
+                print(f"claim: {workload} {metric['name']} {claim_figures(summary)}, passes {passes}{tag}", file=sys.stderr)
     wrong = [w for w, entry in bench["workloads"].items() if not all(map(correct, [*entry["runs"], *entry["traced"].values()]))]
     if wrong:
         print(f"runs not correct on: {', '.join(wrong)}", file=sys.stderr)
