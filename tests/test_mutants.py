@@ -7,7 +7,7 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def test_every_mutant_anchor_matches_exactly_once():
-    # Running the mutants takes minutes; an anchor that an edit moved or
+    # Running the mutants takes a while; an anchor that an edit moved or
     # duplicated is caught here at once.
     spec = importlib.util.spec_from_file_location("mutants", TOOL)
     tool = importlib.util.module_from_spec(spec)

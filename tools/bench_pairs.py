@@ -16,9 +16,10 @@ end-to-end metric, each side's median and quartiles, the number of pairs
 the working tree won, the relative change of the median and whether it is
 worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``),
 next to each side's failed operations, whether every run was correct, and
-each side's pass-count median and quartiles.  A run that exits non-zero is kept with its exit code and the
-last lines of its stderr, counts as not correct, and the pairs go on; metrics
-are summarised over the pairs whose two runs both finished.  After its pairs,
+each side's pass-count median and quartiles.  A run that exits non-zero is
+kept with its exit code and the last lines of its stderr, counts as not
+correct, and the pairs go on; metrics are summarised over the pairs whose
+two runs both finished.  After its pairs,
 each side of a workload runs once more with ``--trace 1``; ``layers`` holds
 every per-layer metric of those two runs side by side (None for a side whose
 traced run failed), and ``traced`` each side's run.  It exits 1 when any run,

@@ -6,8 +6,8 @@ Each entry of ``tools/mutants.json`` names a file under ``src/``, an anchor
 text that occurs in it exactly once, the anchor's replacement, and the tests
 expected to fail, as pytest node ids; an id without parameters fails when
 any of its cases fails.  Each mutant is written into its own temporary copy
-of ``src/``, and its tests run from this checkout with that copy first on
-``PYTHONPATH``, at most two mutants at a time.  A mutant is killed when each
+of ``src/``, and its tests run from this checkout with ``PYTHONPATH`` set to
+that copy, at most two mutants at a time.  A mutant is killed when each
 of its tests fails.  One line per mutant says what happened; the run exits 1
 when a mutant survives, a named test did not run, or a run broke in another
 way.  Standard library only.
