@@ -344,12 +344,10 @@ def are_isomorphic(
 ) -> bool:
     """Whether some colour-preserving permutation maps g onto h.
 
-    Colourings default to the single-cell colouring, making this plain graph
-    isomorphism.  Colourings with different cell-size sequences cannot be
-    mapped onto each other, so the answer is False without a search.
+    Colourings default to the single cell (plain isomorphism), and each must
+    cover its own graph, else ``ValueError``, even when the orders differ.
+    Unequal cell-size sequences, which sum to the orders, answer False.
     """
-    if g.n != h.n:
-        return False
     g_cells = _cells_for(g, g_colouring)
     h_cells = _cells_for(h, h_colouring)
     if [len(c) for c in g_cells] != [len(c) for c in h_cells]:

@@ -36,14 +36,13 @@ COUNT_TABLES = {
 
 def er_connectivity_rows(max_n: int, trials: int, seed: int) -> tuple[list[int], list[int]]:
     """Connected-sample counts at p = 2 log(n)/n and p = log(n)/(2n), n = 2..max_n."""
-    connected = filters.parse_filter_spec("!Connectivity=0")
     high = []
     low = []
     for n in range(2, max_n + 1):
         p = math.log(n) / n
         for p_scaled, out in ((2 * p, high), (p / 2, low)):
             samples = generate.generate_random_graphs(generate.RandomModel(n, trials, p_scaled, seed))
-            out.append(len(filters.filter_graphs(samples, connected)))
+            out.append(sum(g.is_connected() for g in samples))
     return high, low
 
 
@@ -111,7 +110,8 @@ def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
-    answer = canon.are_isomorphic(codec.decode(args.g6a), codec.decode(args.g6b))
+    (_, g), (_, h) = codec.decode_numbered(enumerate((args.g6a, args.g6b), 1), "argument")
+    answer = canon.are_isomorphic(g, h)
     out.write("true\n" if answer else "false\n")
     return 0 if answer else 1
 

@@ -2,13 +2,15 @@
 
 Every property value comes from ``core``, which owns the graph algorithms;
 this module walks no graph itself.  A filter is a conjunction of
-constraints, each naming a property, a value (bool, int, or inclusive
-range), and an optional negation.  Connectivity follows the deletion-based
-convention: value 0 means disconnected, and a positive k means the graph is
-connected and some k vertices (but no k-1) disconnect it.  The
-single-vertex graph is connected and therefore matches no Connectivity
-value at all, even though its vertex connectivity is 0 by the
-complete-graph convention.  A ``Connectivity=lo..hi`` clause asks
+constraints, each naming a property, a value (a bool, or an inclusive
+integer range) and an optional negation.  An integer v is stored as the
+range (v, v): ``PropertyConstraint("NumEdges", 3).value == (3, 3)``, and it
+equals ``PropertyConstraint("NumEdges", (3, 3))``.  Connectivity follows
+the deletion-based convention: value 0 means disconnected, and a positive
+k means the graph is connected and some k vertices (but no k-1) disconnect
+it.  The single-vertex graph is connected and therefore matches no
+Connectivity value, even though its vertex connectivity is 0 by the
+complete-graph convention.  ``Connectivity=lo..hi`` asks
 ``core.connectivity_at_most`` for min(kappa, hi + 1), which lies in
 [lo, hi] exactly when kappa does.
 
@@ -50,7 +52,7 @@ class FilterSpecError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class PropertyConstraint:
-    """One clause: property name, target value or inclusive range, negation."""
+    """One clause: property name, a boolean or an inclusive range, negation."""
 
     name: str
     value: bool | int | tuple[int, int]
@@ -63,25 +65,15 @@ class PropertyConstraint:
         if self.name in BOOLEAN_PROPERTIES:
             if not isinstance(value, bool):
                 raise FilterSpecError(f"{self.name} takes a boolean, got {value!r}")
-        elif isinstance(value, bool):
-            raise FilterSpecError(f"{self.name} takes an integer or range, got {value!r}")
-        elif isinstance(value, int):
-            pass
-        elif (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and all(isinstance(b, int) and not isinstance(b, bool) for b in value)
+            return
+        lo_hi = (value, value) if isinstance(value, int) else value
+        if not (
+            isinstance(lo_hi, tuple) and len(lo_hi) == 2 and all(isinstance(b, int) and not isinstance(b, bool) for b in lo_hi)
         ):
-            if value[0] > value[1]:
-                raise FilterSpecError(f"{self.name} range has lo > hi: {value}")
-        else:
             raise FilterSpecError(f"{self.name} takes an integer or range, got {value!r}")
-
-    def bounds(self) -> tuple[int, int]:
-        if isinstance(self.value, tuple):
-            return self.value
-        assert isinstance(self.value, int)
-        return self.value, self.value
+        if lo_hi[0] > lo_hi[1]:
+            raise FilterSpecError(f"{self.name} range has lo > hi: {lo_hi}")
+        object.__setattr__(self, "value", lo_hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,13 +128,13 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
 
 def parse_filter_spec(text: str) -> GraphFilter:
     """Parse the CLI filter grammar; blank text accepts every graph."""
+    if not text.strip():
+        return GraphFilter()
     constraints = []
     for raw in text.split(","):
         item = raw.strip()
         if not item:
-            if text.strip():
-                raise FilterSpecError(f"empty filter item in {text!r}")
-            continue
+            raise FilterSpecError(f"empty filter item in {text!r}")
         if "=" not in item:
             raise FilterSpecError(f"expected Name=value in {item!r}")
         name, _, value_text = item.partition("=")
@@ -175,7 +167,7 @@ def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
     if name in BOOLEAN_PROPERTIES:
         result = read(graph) is constraint.value
     else:
-        lo, hi = constraint.bounds()
+        lo, hi = constraint.value
         if name == "Connectivity":
             # min(kappa, hi + 1) decides lo <= kappa <= hi; K1 matches no value
             value = read(graph, hi + 1) if graph.n > 1 else None

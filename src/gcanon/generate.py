@@ -143,7 +143,7 @@ def _hereditary_bounds(constraints: GraphFilter) -> tuple[tuple[bool, int | None
         if c.name == "Bipartite":
             bipartite = enforced = c.value != c.negate
         elif c.name in ("NumEdges", "NumCycles") and not c.negate:
-            lo, hi = c.bounds()
+            lo, hi = c.value
             if c.name == "NumEdges":
                 max_edges = hi
             else:

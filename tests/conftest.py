@@ -24,6 +24,9 @@ import subprocess
 import sys
 from typing import Iterator
 
+import pytest
+
+import gcanon
 from gcanon import refine
 from gcanon.cli import main
 from gcanon.core import Colouring, Graph, Permutation
@@ -45,11 +48,14 @@ def run_cli_lines(argv, stdin):
 
 
 def run_module_cli(args, stdin_text="", env_extra=None):
-    """Run `python -m gcanon ...` with src/ on the path."""
+    """Run `python -m gcanon ...` on the gcanon that this process imported.
+
+    Its parent directory goes first on the path, so a subprocess runs the
+    library under test, such as a mutated copy, and not the checkout's src/.
+    """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-    )
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(gcanon.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([package_parent, env.get("PYTHONPATH", "")])
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -63,19 +69,27 @@ def run_module_cli(args, stdin_text="", env_extra=None):
 
 @contextlib.contextmanager
 def deadline(seconds: float):
-    """Raise ``TimeoutError`` in the block once ``seconds`` of wall time pass.
+    """Fail the test once the block has run for ``seconds`` of wall time.
 
     A search whose automorphism test or pruning is broken walks up to n!
     leaves on a symmetric graph; under a deadline it fails instead of hanging.
+    The failure is the message alone, with no traceback: the frame the alarm
+    interrupted may stand at an instruction with no line number, which
+    pytest's traceback formatter cannot print.
     """
+    missed = TimeoutError(f"over the {seconds} s deadline")
 
     def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s deadline")
+        raise missed
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        if exc is not missed:
+            raise
+        raise pytest.fail.Exception(str(exc), pytrace=False) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

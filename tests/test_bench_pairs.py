@@ -72,6 +72,8 @@ def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     # Ties count for neither side, and a pair with a failed run is not counted.
     assert "claim: symmetric wall_s median 1 -> 1 (+0.0%), change wins 0 of 9, parent IQR 0.0% of its median" in proc.stderr
     assert summary["passes"] == {side: {"median": 2, "q1": 2, "q3": 2} for side in ("parent", "change")}
+    # Every run takes the one seed that the BENCH files record.
+    assert json.loads((tmp_path / "pairs.json").read_text())["command"] == "python3 perfbench/run.py --workload W --seed 1"
 
 
 def test_bench_pairs_flags_a_metric_over_its_bound(tmp_path):

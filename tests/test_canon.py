@@ -197,6 +197,9 @@ def test_are_isomorphic_edge_cases():
     pi = Colouring(([0], [1, 2]))
     rho = Colouring(([0, 1], [2]))
     assert not are_isomorphic(Graph.empty(3), Graph.empty(3), pi, rho)
+    # each colouring is checked against its own graph, whatever the orders
+    with pytest.raises(ValueError, match="^colouring covers 4 vertices, graph has 3$"):
+        are_isomorphic(Graph.empty(3), Graph.empty(4), Colouring(([0, 1, 2, 3],)))
 
 
 def test_are_isomorphic_matches_brute_force_random_pairs():
@@ -249,6 +252,16 @@ def test_generators_span_the_whole_group():
         h = permute_graph(g, random_permutation(rng, g.n))
         gens = canonical_label(h).automorphism_generators
         assert closure_order(gens, h.n) == brute_force_automorphism_count(h)
+
+
+def test_a_missed_deadline_fails_the_test_with_its_message_alone():
+    # No traceback: pytest cannot format a frame interrupted where it has no line number.
+    with pytest.raises(pytest.fail.Exception) as info:
+        with deadline(0.01):
+            while True:
+                pass
+    assert str(info.value) == "over the 0.01 s deadline"
+    assert info.value.pytrace is False and info.value.__suppress_context__
 
 
 def test_symmetric_cliff_sentinel():

@@ -134,6 +134,12 @@ def test_iso_exit_codes(capsys):
     assert code == 1 and out == "false\n"
     code, _ = run_cli(["iso", "Dhc", "not a graph"])
     assert code == 2
+    capsys.readouterr()
+    # the error names the argument that failed to decode
+    for argv, position in ((["iso", "D h", "Dhc"], 1), (["iso", "Dhc", "D h"], 2)):
+        code, _ = run_cli(argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"gcanon: argument {position}: invalid byte 32 (byte offset 1)\n"
 
 
 def test_iso_pairwise_sweep_subset():

@@ -84,6 +84,16 @@ def test_constraint_validation():
         GraphFilter((PropertyConstraint("NumEdges", 1), PropertyConstraint("NumEdges", (0, 2))))
 
 
+def test_an_integer_value_is_stored_as_its_range():
+    assert PropertyConstraint("NumEdges", 3).value == (3, 3)
+    assert PropertyConstraint("NumEdges", 3) == PropertyConstraint("NumEdges", (3, 3))
+    assert parse_filter_spec("Girth=4") == build_graph_filter([("Girth", (4, 4))])
+    assert GenOptions(min_edges=2, max_edges=2) == build_graph_filter([("NumEdges", 2)])
+    for value in (True, (1, True), (1, 2, 3), (1.0, 2)):
+        with pytest.raises(FilterSpecError, match="^Girth takes an integer or range, got "):
+            PropertyConstraint("Girth", value)
+
+
 def test_parse_filter_spec_grammar():
     assert parse_filter_spec("") == ACCEPT_ALL
     assert parse_filter_spec("  ") == ACCEPT_ALL

@@ -4,14 +4,14 @@
 
 Run from anywhere inside a git checkout.  PARENT_REV is exported with
 ``git archive`` into a temporary directory.  For each workload that
-``BENCHMARK.json`` lists, ``perfbench/run.py --workload WORKLOAD --seed SEED``
+``BENCHMARK.json`` lists, ``perfbench/run.py --workload WORKLOAD --seed 1``
 runs ``PAIRS`` times in the parent tree and ``PAIRS`` times in the working
 tree, alternately, with the first side of each pair flipped from one pair to
 the next.  Each tree runs its own ``perfbench/`` and its own ``src/``.
 
 The JSON written to ``--out`` holds every run's result line (the last line
 ``run.py`` prints) and its pass count (from
-``.perfbench/<workload>-seed<seed>-trace0.json``), and, per workload and
+``.perfbench/<workload>-seed1-trace0.json``), and, per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
 the working tree won, the relative change of the median and whether it is
 worse than the metric's ``bound`` in ``BENCHMARK.json`` (``over_bound``),
@@ -49,6 +49,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+SEED = 1  # of every run; each BENCH file records it in its command
 PAIRS = 10  # per workload: at 3 pairs, a workload that did not move read +4.8% (BENCH_19.json)
 STDERR_LINES = 20  # kept from a run that exits non-zero
 
@@ -92,16 +93,16 @@ def src_lines(tree: str) -> int:
     return total
 
 
-def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> dict:
+def run_once(tree: str, workload: str, trace: int = 0) -> dict:
     """One benchmark run in tree, at the benchmark's own length: its result line and its pass count.
 
     A run that exits non-zero has no result: its exit code and the end of its stderr instead.
     """
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode:
         return {"result": None, "exit_code": done.returncode, "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
-    with open(os.path.join(tree, ".perfbench", f"{workload}-seed{seed}-trace{trace}.json"), encoding="utf-8") as fh:
+    with open(os.path.join(tree, ".perfbench", f"{workload}-seed{SEED}-trace{trace}.json"), encoding="utf-8") as fh:
         report = json.load(fh)
     return {
         "result": json.loads(done.stdout.strip().splitlines()[-1]),
@@ -186,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the revision to compare against, e.g. HEAD~1")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         declared = json.load(fh)
     metrics = declared["end_to_end"]
     bench = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed}",
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED}",
         "parent": git(root, "rev-parse", args.parent).decode().strip(),
         "change": provenance(root),
         "workloads": {},
@@ -208,14 +208,14 @@ def main(argv: list[str] | None = None) -> int:
             runs = []
             for pair in range(PAIRS):
                 for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
-                    run = run_once(trees[side], workload, args.seed)
+                    run = run_once(trees[side], workload)
                     runs.append({"pair": pair, "side": side, "order": order, **run})
                     if run["result"] is None:
                         said = f"exit {run['exit_code']}"
                     else:
                         said = f"wall_s {run['result']['metrics']['wall_s']['value']:.4g}, passes {run['passes']}"
                     print(f"{workload} pair {pair} {side}: {said}", file=sys.stderr)
-            traced = {side: run_once(trees[side], workload, args.seed, trace=1) for side in SIDES}
+            traced = {side: run_once(trees[side], workload, trace=1) for side in SIDES}
             for side, run in traced.items():
                 print(f"{workload} traced {side}: {'correct' if correct(run) else 'not correct'}", file=sys.stderr)
             bench["workloads"][workload] = {

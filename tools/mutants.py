@@ -82,9 +82,7 @@ def run(mutant: dict) -> str:
             fh.write(text.replace(mutant["anchor"], mutant["replacement"]))
         report = os.path.join(tmp, "report.xml")
         env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        # native tracebacks: pytest's own formatter can fail on a frame that a
-        # test deadline's SIGALRM interrupted at an instruction with no line number
-        cmd = [sys.executable, "-m", "pytest", "-q", "--tb=native", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant["tests"]]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant["tests"]]
         try:
             done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
