@@ -38,7 +38,10 @@ from the first node on.  Key and best leaf stay: a skipped subtree is still
 the image, under an automorphism fixing the path, of a sibling subtree
 explored before it, so the first leaf with the greatest key, which no later
 leaf replaces, is never skipped.  The seeds and the kept automorphisms still
-generate the whole group.
+generate the whole group.  Without ``known`` the search seeds itself with
+the swaps of vertices that share a cell and have equal rows (twin swaps,
+see ``search``), which cost one dict lookup per vertex; a caller that
+passes a list, even an empty one, gets exactly that list.
 
 ``search`` is the one entry point that walks this tree; every caller reads
 its result by field name from the record ``_Search``:
@@ -209,7 +212,7 @@ def search(
     rows: Sequence[int],
     cells: list[list[int]] | None = None,
     *,
-    known: Iterable[tuple[int, ...]] = (),
+    known: Iterable[tuple[int, ...]] | None = None,
 ) -> _Search:
     """Search the graph with adjacency rows ``rows`` from sorted cells (None:
     the unit cell), refined in place; the vertex count is ``len(rows)``.
@@ -218,9 +221,34 @@ def search(
     the caller vouches that each maps the graph and every input cell onto
     itself, since nothing checks it.  They skip siblings from the first node
     on and change neither key nor order (see the module docstring).
+
+    None, the default, seeds the search with the twin swaps: within each
+    input cell, each vertex is swapped with the previous vertex of that cell
+    whose row equals its own.  ``rows[u] == rows[v]`` means u and v are not
+    adjacent (a row has no self bit) and N(u) = N(v), so the swap (u v) maps
+    the graph onto itself, and since u and v share a cell it maps every cell
+    onto itself: exactly what ``known`` asks.  So the seeds change neither
+    key nor order, and with the kept automorphisms they still generate the
+    group.  The swaps form a chain through each class of same-row vertices,
+    not a star around its minimum: a star swap moves the minimum, so below
+    the first individualized member of a class none of them prunes, while
+    the chain links what every individualized prefix of the class leaves.
+    Relabelled empty graphs take one leaf, and K_{a,b} at most two.
     """
     n = len(rows)
     cells = [list(range(n))] if cells is None else cells
+    if known is None:
+        known = []
+        last: dict[tuple[int, int], int] = {}  # the latest vertex of each (cell, row) class
+        for i, cell in enumerate(cells):
+            for v in cell:
+                twins = i, rows[v]
+                u = last.get(twins, v)
+                last[twins] = v
+                if u != v:
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    known.append(tuple(swap))
     gens = list(known)
     # per generator, the mask and the list of the vertices it moves
     moved = [(_mask(s), s) for s in ([v for v, w in enumerate(g) if v != w] for g in gens)]

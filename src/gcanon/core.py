@@ -185,7 +185,8 @@ def connectivity_at_most(graph: Graph, cap: int) -> int:
       a minimum-degree vertex isolates it (for the complete graph this gives
       n - 1, otherwise it is at most n - 2);
     - a connected graph on n >= 2 vertices has kappa >= 1, so a bound of at
-      most 1 is already the answer and no flow runs;
+      most 1 is already the answer: no flow runs when it starts there, and
+      none runs after a flow brings it down to 1;
     - a pair with at least ``best`` common neighbours is skipped, since the
       paths s-c-t already give kappa(s, t) >= best, so its flow cannot lower
       the bound.
@@ -200,6 +201,8 @@ def connectivity_at_most(graph: Graph, cap: int) -> int:
         for t in range(s + 1, graph.n):
             if not graph.has_edge(s, t) and (rows[s] & rows[t]).bit_count() < best:
                 best = min(best, _local_connectivity(graph, s, t, best))
+                if best == 1:
+                    return best
     return best
 
 

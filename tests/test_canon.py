@@ -267,9 +267,10 @@ def test_a_missed_deadline_fails_the_test_with_its_message_alone():
 def test_symmetric_cliff_sentinel():
     # Counts, not seconds, so the machine's speed does not matter.  A search
     # that keeps every matching leaf as a generator keeps leaves - 1 of them
-    # (1,128 on empty(48)) and filters them all for each sibling it tests.
+    # (1,128 on complete(48)) and filters them all for each sibling it tests.
+    # Twin seeds take empty(48) and K_{24,24} to at most 2 leaves.
     rng = random.Random(30)
-    for g in [Graph.empty(48), Graph.complete(48), complete_bipartite(24, 24)]:
+    for g, twin_leaf_cap in [(Graph.empty(48), 2), (Graph.complete(48), None), (complete_bipartite(24, 24), 2)]:
         relabelled = [permute_graph(g, random_permutation(rng, g.n)) for _ in range(2)]
         with deadline(10):  # about 1 s a graph; a search that prunes nothing never ends
             results = [canonical_label(h) for h in relabelled]
@@ -279,6 +280,7 @@ def test_symmetric_cliff_sentinel():
                 assert permute_graph(h, sigma) == h
             assert len(result.automorphism_generators) <= g.n - 1
             assert result.leaf_count <= g.n * (g.n - 1) // 2 + 1
+            assert twin_leaf_cap is None or result.leaf_count <= twin_leaf_cap
 
 
 def test_hard_families_keep_keys_generators_and_leaf_caps():
@@ -383,11 +385,12 @@ def test_search_records_match_recorded_digest(digest_searches):
     # refinement passed over the cells a splitter's neighbourhood misses, and
     # before mask permutation read a bit table: those rules must leave every
     # record (key, order, generators, leaves) as it was.  A change that deliberately walks another tree (a backjump, say)
-    # records the digest again and declares the change in CHANGES.md.
+    # records the digest again and declares the change in CHANGES.md.  Recorded again when searches
+    # began from the twin swaps (the default seeds), which add generators and skip leaves.
     digest = hashlib.sha256()
     for found in digest_searches:
         digest.update(repr(tuple(found)).encode())
-    assert digest.hexdigest() == "f569021b47b65fba18e09e5bb427763189597441ede7ad8d2da2a369d3a5207c"
+    assert digest.hexdigest() == "1d1b3f830df886bdf712f183b458d6d7ab985df262612fe972e5851f96b1f15a"
 
 
 def test_search_keys_and_orders_match_recorded_digest(digest_searches):
@@ -509,23 +512,30 @@ def test_search_packs_keys_only_at_leaves(monkeypatch):
     # vertices; an inner node that packs a partial one to compare with the
     # best key would show here.  A leaf whose sigma is an automorphism packs
     # none, so on empty and complete graphs only the first leaf packs, while
-    # the Chang graph has inequivalent leaves too.
+    # the Chang graph has inequivalent leaves too.  The searches pass no
+    # twin seeds, which would leave empty(20) a single leaf.
     rng = random.Random(32)
-    for g, only_first_packs in [(Graph.empty(20), True), (Graph.complete(12), True), (chang(), False)]:
-        h = permute_graph(g, random_permutation(rng, g.n))
-        orders = []
+    orders = []
 
-        def counted(rows, order, key_from_rows=codec.key_from_rows):
-            orders.append(list(order))
-            return key_from_rows(rows, order)
+    def counted(rows, order, key_from_rows=codec.key_from_rows):
+        orders.append(list(order))
+        return key_from_rows(rows, order)
 
+    def search(rows, **options):
+        orders.clear()
         monkeypatch.setattr(codec, "key_from_rows", counted)
         with deadline(10):
-            found = canon.search(h.rows)
+            found = canon.search(rows, **options)
         monkeypatch.undo()
+        return found
+
+    for g, only_first_packs in [(Graph.empty(20), True), (Graph.complete(12), True), (chang(), False)]:
+        h = permute_graph(g, random_permutation(rng, g.n))
+        found = search(h.rows, known=[])
         assert all(sorted(order) == list(range(h.n)) for order in orders)
         assert 1 <= len(orders) < found.leaves
         assert (len(orders) == 1) == only_first_packs
+    assert (search(permute_graph(Graph.empty(20), random_permutation(rng, 20)).rows).leaves, len(orders)) == (1, 1)
 
 
 class RowsOf:
@@ -667,9 +677,10 @@ def test_known_automorphisms_keep_key_and_order():
     # group is small enough to close.  A seeded search visits at most the
     # leaves of the unpruned tree, but it can visit more than the plain one:
     # the last case, a relabelled 3xC4 seeded with one of its plain
-    # generators and two products of them, visits 20 leaves against 18,
-    # because a sigma that joins no orbit at its own level is dropped and so
-    # cannot prune deeper on another path.
+    # generators and two products of them, visits 20 leaves against 18 with
+    # no seeds at all (8 with the default twin seeds), because a sigma that
+    # joins no orbit at its own level is dropped and so cannot prune deeper
+    # on another path.
     rng = random.Random(38)
     cases = []
     for density in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -728,6 +739,64 @@ def test_known_automorphisms_keep_key_and_order():
         assert closure_order(found.generators, g.n) == closure_order(plain.generators, g.n)
         assert found.leaves <= unpruned_leaves
     assert seeded > len(cases) // 2
+
+
+def blow_up(rng, h):
+    """h with each vertex replaced by 1 to 3 vertices of the same row, relabelled at random."""
+    blobs = []
+    for x in range(h.n):
+        blobs += [x] * rng.randint(1, 3)
+    g = Graph.from_edges(len(blobs), [(u, v) for u, v in itertools.combinations(range(len(blobs)), 2) if h.has_edge(blobs[u], blobs[v])])
+    return permute_graph(g, random_permutation(rng, g.n))
+
+
+def test_twin_seeds_are_swaps_of_same_row_vertices_of_one_cell():
+    # The default seeds come first among the generators, one for each vertex
+    # of a (cell, row) class after the first.  Each swaps two vertices of one
+    # input cell with equal rows, so it fixes the graph and every cell, and
+    # together they link exactly the members of each class.  The random
+    # colourings split the planted classes across cells.
+    rng = random.Random(42)
+    split = 0
+    for _ in range(60):
+        g = blow_up(rng, random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8))))
+        for colouring in (Colouring.unit(g.n), random_colouring(rng, g.n)):
+            cells = cell_lists(colouring)
+            classes = {}
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    classes.setdefault((i, g.rows[v]), set()).add(v)
+            split += len({row for _, row in classes}) < len(classes)
+            found = canon.search(g.rows, [c.copy() for c in cells])
+            seeds = found.generators[: sum(len(members) - 1 for members in classes.values())]
+            for image in seeds:
+                u, v = [w for w in range(g.n) if image[w] != w]
+                assert (image[u], image[v]) == (v, u), image
+                assert g.rows[u] == g.rows[v] and any({u, v} <= set(cell) for cell in cells), (u, v)
+                assert permute_graph(g, Permutation(image)) == g and is_colour_preserving(Permutation(image), colouring)
+            linked = closure_orbits(g.n, [{u: image[u] for u in range(g.n) if image[u] != u} for image in seeds])
+            assert {frozenset(orbit) for orbit in linked} == {frozenset(members) for members in classes.values()}
+            plain = canon.search(g.rows, [c.copy() for c in cells], known=[])
+            assert (found.key, found.order) == (plain.key, plain.order)
+            as_dicts = [[dict(enumerate(image)) for image in s.generators] for s in (found, plain)]
+            assert closure_orbits(g.n, as_dicts[0]) == closure_orbits(g.n, as_dicts[1])
+    assert split > 20
+
+
+def test_twin_seeds_take_empty_graphs_and_complete_bipartite_graphs_to_two_leaves():
+    # Counts, not seconds: every vertex of an empty graph has the row 0, and
+    # every vertex of one side of K_{a,b} the row of the other side, so the
+    # chains of swaps leave at most one child per side at every level.
+    cases = [Graph.empty(n) for n in (1, 2, 9, 33, 64)]
+    cases += [complete_bipartite(a, b) for a, b in ((1, 1), (1, 7), (3, 5), (16, 16), (20, 44), (32, 32))]
+    with deadline(10):  # well under 1 s
+        for g in cases:
+            keys = set()
+            for seed in range(5):
+                found = canon.search(permute_graph(g, random_permutation(random.Random(seed), g.n)).rows)
+                keys.add(found.key)
+                assert found.leaves <= 2, (g, seed, found.leaves)
+            assert len(keys) == 1, g
 
 
 def test_are_isomorphic_hard_pairs():

@@ -261,6 +261,21 @@ def test_connectivity_at_most_one_runs_no_flow(monkeypatch):
     assert evaluate(parse_filter_spec("!Connectivity=0"), Graph.cycle(5))  # a bound of 1 needs no flow
 
 
+def test_connectivity_stops_once_a_flow_brings_the_bound_to_one(monkeypatch):
+    # two K4s joined through the cut vertex 4: minimum degree 2 starts the
+    # bound, the first flow (0, 5) brings it to 1, and 1 is already kappa
+    g = Graph.from_edges(9, [*combinations(range(4), 2), *combinations(range(5, 9), 2), (0, 4), (4, 5)])
+    flows = []
+
+    def counted(*args, local_connectivity=core._local_connectivity):
+        flows.append(args[1:3])
+        return local_connectivity(*args)
+
+    monkeypatch.setattr(core, "_local_connectivity", counted)
+    assert connectivity_at_most(g, g.n) == 1
+    assert flows == [(0, 5)]
+
+
 def test_connectivity_builds_no_edge_list(monkeypatch):
     # every flow reads its network from the adjacency rows, not from an edge list
     rng = random.Random(45)
