@@ -9,17 +9,13 @@ usage or data errors.
 The ``repro`` subcommand regenerates the reference tables: graph counts
 (a000088), forests (a005195) and trees (a000055), each from one generation
 run restricted by a filter spec, and the random-graph connectivity
-experiment around the p = log(n)/n threshold (natural logarithm).  The
-``GCANON_VERTEX_CAP`` environment variable overrides the vertex cap for one
-``main`` call, inside that call's own ``contextvars`` context.
+experiment around the p = log(n)/n threshold (natural logarithm).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import math
-import os
 import sys
 from typing import IO, Iterable, Iterator, NoReturn
 
@@ -181,27 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_cap_override() -> None:
-    raw = os.environ.get("GCANON_VERTEX_CAP")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        _fail(f"GCANON_VERTEX_CAP must be a positive integer, got {raw!r}")
-    core.CAP_OVERRIDE.set(cap)
-
-
 def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
-    # A context of its own scopes the cap override to this call and thread.
-    return contextvars.copy_context().run(_main, argv, stdin, stdout)
-
-
-def _main(argv: list[str] | None, stdin: IO[str] | None, stdout: IO[str] | None) -> int:
     try:
-        _apply_cap_override()
         args = _build_parser().parse_args(argv)
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
@@ -210,8 +187,6 @@ def _main(argv: list[str] | None, stdin: IO[str] | None, stdout: IO[str] | None)
         return 0
     except ValueError as exc:
         _fail(str(exc))
-    except RecursionError:  # the search recurses once per tree level
-        _fail("graph too large for the search's recursion depth")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,10 @@ Graphs are finite, simple, undirected, on vertex set 0..n-1, stored densely:
 are immutable values and every operation is a pure function, so instances can
 be shared across threads without coordination.
 
-The dense representation targets small graphs.  ``VERTEX_CAP`` (64) is a
-constant bound on the vertex count; anything larger is an error, not a
-fallback.  ``GCANON_VERTEX_CAP`` replaces it for one CLI ``main`` call, in
-that call's own context (``CAP_OVERRIDE``).  ``Graph`` checks its vertex
+The dense representation targets small graphs.  ``Graph`` checks its vertex
 count with ``check_vertex_count`` when it is built, as does every entry point
-that takes a count, so no operation ever sees a zero-vertex graph and 0 is
-rejected with the same message everywhere.
+that takes a count: a count above the constant ``VERTEX_CAP`` (64) is an
+error, not a fallback, and 0 is rejected with the same message everywhere.
 
 Every breadth-first walk of a graph is ``_layers``, which returns the
 distance layers from a root as bitmasks: ``component_masks``,
@@ -31,12 +28,10 @@ message is the one a pair-by-pair check gives.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
-CAP_OVERRIDE: ContextVar[int] = ContextVar("CAP_OVERRIDE")
 
 
 class ZeroVertexError(ValueError):
@@ -44,20 +39,19 @@ class ZeroVertexError(ValueError):
 
 
 class VertexCapError(ValueError):
-    """Raised when a graph exceeds the configured vertex cap."""
+    """Raised when a graph exceeds the vertex cap."""
 
 
 def check_vertex_count(n: int) -> None:
-    """Rejects a vertex count that is not an int (a bool included), 0, a negative one, or one above the cap in force."""
+    """Rejects a vertex count that is not an int (a bool included), 0, a negative one, or one above ``VERTEX_CAP``."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"vertex count must be an int, got {n!r}")
     if n == 0:
         raise ZeroVertexError("zero-vertex graphs are not supported")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    cap = CAP_OVERRIDE.get(VERTEX_CAP)
-    if n > cap:
-        raise VertexCapError(f"{n} vertices exceeds the cap of {cap}")
+    if n > VERTEX_CAP:
+        raise VertexCapError(f"{n} vertices exceeds the cap of {VERTEX_CAP}")
 
 
 def _all_ints(values: Iterable[object]) -> bool:

@@ -1,4 +1,3 @@
-import contextvars
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from conftest import (
 )
 from gcanon.canon import canonical_label
 from gcanon.core import (
-    CAP_OVERRIDE,
     VERTEX_CAP,
     Colouring,
     Graph,
@@ -407,16 +405,6 @@ def test_check_vertex_count_is_the_one_count_rule():
         check_vertex_count(VERTEX_CAP + 1)
     check_vertex_count(1)
     check_vertex_count(VERTEX_CAP)
-
-
-def test_cap_override_is_scoped_to_its_context():
-    def raised_cap():
-        CAP_OVERRIDE.set(VERTEX_CAP + 6)
-        return Graph.empty(VERTEX_CAP + 1).n
-
-    assert contextvars.copy_context().run(raised_cap) == VERTEX_CAP + 1
-    with pytest.raises(VertexCapError):
-        Graph.empty(VERTEX_CAP + 1)
 
 
 def packed(rows, w):

@@ -3,8 +3,11 @@ keep the zero-vertex rule in one place.
 
 Every ``src/gcanon/*.py`` is parsed with ``ast``; a ``global`` statement, or
 an assignment (plain, augmented, annotated, ``del`` or ``setattr``) to an
-attribute of an imported module, fails the test.  Scoped state belongs in a
-``contextvars.ContextVar`` or an explicit parameter instead.  Outside
+attribute of an imported module, fails the test; state belongs in an
+explicit parameter instead.  A read of the process environment
+(``os.environ``, ``os.environb``, ``os.getenv`` or ``os.getenvb``) fails
+too: an environment knob is a setting that no test or benchmark covers by
+default.  Outside
 ``core.py``, a ``raise ZeroVertexError`` fails too: ``Graph`` and every count
 entry point reject 0 through ``core.check_vertex_count``, so no other module
 needs the rule.  So does taking an underscore name from a sibling module,
@@ -189,13 +192,68 @@ def f():
     core.VERTEX_CAP = 3
     o.sep += "/"
     setattr(core, "VERTEX_CAP", 4)
-    core.CAP_OVERRIDE.set(5)
 """
     assert module_global_writes(source) == [
         "line 6: global X",
         "line 7: writes core.VERTEX_CAP",
         "line 8: writes o.sep",
         "line 9: writes core.?",
+    ]
+
+
+ENVIRONMENT_READS = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def environment_reads(source: str) -> list[str]:
+    """Line-numbered reads of the process environment in ``source``.
+
+    Both forms count: ``os.environ``, ``os.environb``, ``os.getenv`` or
+    ``os.getenvb`` read through any name that an import binds to ``os``, and
+    any of them imported by name (``from os import environ``).
+    """
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os" or (alias.asname is None and alias.name.startswith("os.")):
+                    aliases.add(alias.asname or "os")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and not node.level:
+            found += [(alias.lineno, f"os.{alias.name}") for alias in node.names if alias.name in ENVIRONMENT_READS]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr in ENVIRONMENT_READS:
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_read_check_catches_every_form():
+    source = """
+import os
+import os.path
+import os.path as osp
+import os as system
+from os import environ, getenv as read_env, sep
+
+
+def f():
+    cap = os.environ.get("CAP")
+    system.getenv("CAP")
+    osp.join(os.sep, sep, "environ", osp.environ)
+    return os.environb, environ["X"], read_env("Y")
+"""
+    assert environment_reads(source) == [
+        "line 6: os.environ",
+        "line 6: os.getenv",
+        "line 10: os.environ",
+        "line 11: system.getenv",
+        "line 13: os.environb",
     ]
 
 
