@@ -39,9 +39,10 @@ the image, under an automorphism fixing the path, of a sibling subtree
 explored before it, so the first leaf with the greatest key, which no later
 leaf replaces, is never skipped.  The seeds and the kept automorphisms still
 generate the whole group.  Without ``known`` the search seeds itself with
-the swaps of vertices that share a cell and have equal rows (twin swaps,
-see ``search``), which cost one dict lookup per vertex; a caller that
-passes a list, even an empty one, gets exactly that list.
+the swaps of vertices that share a cell and have equal open rows, or equal
+closed rows (the row with the vertex's own bit), the twin swaps (see
+``search``), which cost two dict lookups per vertex; a caller that passes a
+list, even an empty one, gets exactly that list.
 
 ``search`` is the one entry point that walks this tree; every caller reads
 its result by field name from the record ``_Search``:
@@ -224,31 +225,40 @@ def search(
 
     None, the default, seeds the search with the twin swaps: within each
     input cell, each vertex is swapped with the previous vertex of that cell
-    whose row equals its own.  ``rows[u] == rows[v]`` means u and v are not
-    adjacent (a row has no self bit) and N(u) = N(v), so the swap (u v) maps
-    the graph onto itself, and since u and v share a cell it maps every cell
+    whose open row ``rows[v]`` equals its own, and with the previous one
+    whose closed row ``rows[v] | 1 << v`` equals its own.  Equal open rows
+    mean u and v are not adjacent (a row has no self bit) and N(u) = N(v).
+    Equal closed rows mean u ~ v (each holds the other's bit) and
+    N(u) - {v} = N(v) - {u}.  Either way the swap (u v) maps every edge at
+    u or v other than uv onto an edge, and uv onto itself, so it maps the
+    graph onto itself, and since u and v share a cell it maps every cell
     onto itself: exactly what ``known`` asks.  So the seeds change neither
     key nor order, and with the kept automorphisms they still generate the
-    group.  The swaps form a chain through each class of same-row vertices,
-    not a star around its minimum: a star swap moves the minimum, so below
-    the first individualized member of a class none of them prunes, while
-    the chain links what every individualized prefix of the class leaves.
-    Relabelled empty graphs take one leaf, and K_{a,b} at most two.
+    group.  The classes of both kinds are disjoint.  No open row equals a
+    closed row: ``rows[v] == rows[u] | 1 << u`` would put u in N(v), so v
+    in N(u) and in its own row.  And no vertex has twins of both kinds: an
+    open twin u and a closed twin w of v would put w in N(v) = N(u), so u
+    in N[w] = N[v], though u is neither v nor adjacent to it.  The swaps
+    form a chain through each class, not a star around its minimum: a star
+    swap moves the minimum, so below the first individualized member of a
+    class none of them prunes, while the chain links what every
+    individualized prefix of the class leaves.  Relabelled empty and
+    complete graphs take one leaf, and K_{a,b} at most two.
     """
     n = len(rows)
     cells = [list(range(n))] if cells is None else cells
     if known is None:
         known = []
-        last: dict[tuple[int, int], int] = {}  # the latest vertex of each (cell, row) class
+        last: dict[tuple[int, int], int] = {}  # the latest vertex of each (cell, open or closed row) class
         for i, cell in enumerate(cells):
             for v in cell:
-                twins = i, rows[v]
-                u = last.get(twins, v)
-                last[twins] = v
-                if u != v:
-                    swap = list(range(n))
-                    swap[u], swap[v] = v, u
-                    known.append(tuple(swap))
+                for twins in (i, rows[v]), (i, rows[v] | 1 << v):
+                    u = last.get(twins, v)
+                    last[twins] = v
+                    if u != v:
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        known.append(tuple(swap))
     gens = list(known)
     # per generator, the mask and the list of the vertices it moves
     moved = [(_mask(s), s) for s in ([v for v, w in enumerate(g) if v != w] for g in gens)]

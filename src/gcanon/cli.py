@@ -123,6 +123,7 @@ def _cmd_repro(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
         counts = (len(generate.generate_graphs(n, graph_filter)) for n in range(1, max_n + 1))
         out.write(format_tuple(counts) + "\n")
     else:  # er-connectivity; argparse restricts the choices
+        generate.check_sample_count(args.trials)  # before the rows, which may build no sample
         high, low = er_connectivity_rows(max_n, args.trials, args.seed)
         out.write(f"# connected out of {args.trials} at p = 2 log(n)/n, n = 2..{max_n}\n")
         out.write(format_tuple(high) + "\n")

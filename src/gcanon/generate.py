@@ -74,6 +74,12 @@ def GenOptions(
     return GraphFilter(tuple(clauses))
 
 
+def check_sample_count(count: int) -> None:
+    """Rejects a sample count that is not an int (a bool included) or is negative."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"sample count must be a non-negative int, got {count!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class RandomModel:
     """Parameters for Bernoulli edge sampling: each of the C(n,2) possible
@@ -86,8 +92,7 @@ class RandomModel:
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 0:
-            raise ValueError(f"sample count must be a non-negative int, got {self.count!r}")
+        check_sample_count(self.count)
         if not isinstance(self.p, (int, float)) or isinstance(self.p, bool):
             raise ValueError(f"edge probability must be an int or float, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:

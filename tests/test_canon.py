@@ -264,23 +264,60 @@ def test_a_missed_deadline_fails_the_test_with_its_message_alone():
     assert info.value.pytrace is False and info.value.__suppress_context__
 
 
+def search_relabellings(name, g, leaf_cap):
+    """The search of g relabelled by each of seeds 0..4, checked: one key in
+    all, and in each at most leaf_cap leaves and n - 1 generators, every one
+    an automorphism.  Returns the last search."""
+    keys = set()
+    for seed in range(5):
+        h = permute_graph(g, random_permutation(random.Random(seed), g.n))
+        found = canon.search(h.rows)
+        keys.add(found.key)
+        assert found.leaves <= leaf_cap, (name, seed, found.leaves)
+        assert len(found.generators) <= g.n - 1, (name, seed, len(found.generators))
+        for image in found.generators:
+            assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
+    assert len(keys) == 1, name
+    return found
+
+
 def test_symmetric_cliff_sentinel():
-    # Counts, not seconds, so the machine's speed does not matter.  A search
-    # that keeps every matching leaf as a generator keeps leaves - 1 of them
-    # (1,128 on complete(48)) and filters them all for each sibling it tests.
-    # Twin seeds take empty(48) and K_{24,24} to at most 2 leaves.
+    # Counts, not seconds, so the machine's speed does not matter.  The twin
+    # seeds take empty(48) and K_{24,24} to at most 2 leaves and complete(48),
+    # whose vertices all have one closed row, to 1; seeded with open twins
+    # only, it took over a thousand.
     rng = random.Random(30)
-    for g, twin_leaf_cap in [(Graph.empty(48), 2), (Graph.complete(48), None), (complete_bipartite(24, 24), 2)]:
+    for g, twin_leaf_cap in [(Graph.empty(48), 2), (Graph.complete(48), 1), (complete_bipartite(24, 24), 2)]:
         relabelled = [permute_graph(g, random_permutation(rng, g.n)) for _ in range(2)]
-        with deadline(10):  # about 1 s a graph; a search that prunes nothing never ends
+        with deadline(10):  # milliseconds a graph; a search that prunes nothing never ends
             results = [canonical_label(h) for h in relabelled]
         assert results[0].canonical_graph == results[1].canonical_graph
         for h, result in zip(relabelled, results):
             for sigma in result.automorphism_generators:
                 assert permute_graph(h, sigma) == h
             assert len(result.automorphism_generators) <= g.n - 1
-            assert result.leaf_count <= g.n * (g.n - 1) // 2 + 1
-            assert twin_leaf_cap is None or result.leaf_count <= twin_leaf_cap
+            assert result.leaf_count <= twin_leaf_cap
+
+
+def test_symmetric_cliff_cases_at_the_cap_keep_one_key_and_leaf_caps():
+    # The five 64-vertex cases that once took a second or more each, searched
+    # on the relabellings of seeds 0..4.  A cap is the most leaves any seed
+    # took when the test was written: the twin seeds of both kinds leave the
+    # empty and complete graphs one leaf and K_{32,32} two; the unions of
+    # triangles and 4-cycles have twins only inside each piece.  Each search
+    # keeps at most n - 1 generators, where one that keeps the sigma of every
+    # automorphism leaf keeps over 250 on the unions.  About 1 s in all
+    # (2-core x86-64 VM), most of it checking the generators.
+    cases = [
+        ("empty(64)", Graph.empty(64), 1),
+        ("complete(64)", Graph.complete(64), 1),
+        ("K_{32,32}", complete_bipartite(32, 32), 2),
+        ("21xK3", disjoint_union([Graph.complete(3)] * 21), 211),
+        ("16xC4", disjoint_union([Graph.cycle(4)] * 16), 242),
+    ]
+    with deadline(10):
+        for name, g, leaf_cap in cases:
+            search_relabellings(name, g, leaf_cap)
 
 
 def test_hard_families_keep_keys_generators_and_leaf_caps():
@@ -303,15 +340,7 @@ def test_hard_families_keep_keys_generators_and_leaf_caps():
     ]
     with deadline(20):
         for name, g, leaf_cap in families:
-            keys = set()
-            for seed in range(5):
-                h = permute_graph(g, random_permutation(random.Random(seed), g.n))
-                found = canon.search(h.rows)
-                keys.add(found.key)
-                assert found.leaves <= leaf_cap, (name, seed, found.leaves)
-                for image in found.generators:
-                    assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
-            assert len(keys) == 1, name
+            search_relabellings(name, g, leaf_cap)
 
 
 def test_cfi_pairs_split_by_twist_parity():
@@ -337,15 +366,7 @@ def test_cfi_pairs_split_by_twist_parity():
             for twists in twist_sets(len(base_edges)):
                 assert are_isomorphic(plain, cfi_graph(n, base_edges, twists)) == (len(twists) % 2 == 0), (name, twists)
             for g in (plain, cfi_graph(n, base_edges, (0,))):
-                keys = set()
-                for seed in range(5):
-                    h = permute_graph(g, random_permutation(random.Random(seed), g.n))
-                    found = canon.search(h.rows)
-                    keys.add(found.key)
-                    assert found.leaves <= leaf_cap, (name, seed, found.leaves)
-                    for image in found.generators:
-                        assert permute_graph(h, Permutation(image)) == h, (name, seed, image)
-                assert len(keys) == 1, name
+                found = search_relabellings(name, g, leaf_cap)
                 assert closure_order(found.generators, g.n) == order, name
     # VF2++ takes about 20 s per odd twist over K3,3 (2-core x86-64 VM), so it checks K4 and the prism.
     nx = pytest.importorskip("networkx")
@@ -386,11 +407,12 @@ def test_search_records_match_recorded_digest(digest_searches):
     # before mask permutation read a bit table: those rules must leave every
     # record (key, order, generators, leaves) as it was.  A change that deliberately walks another tree (a backjump, say)
     # records the digest again and declares the change in CHANGES.md.  Recorded again when searches
-    # began from the twin swaps (the default seeds), which add generators and skip leaves.
+    # began from the twin swaps (the default seeds), which add generators and skip leaves,
+    # and again when the seeds took in adjacent twins (equal closed rows) too.
     digest = hashlib.sha256()
     for found in digest_searches:
         digest.update(repr(tuple(found)).encode())
-    assert digest.hexdigest() == "1d1b3f830df886bdf712f183b458d6d7ab985df262612fe972e5851f96b1f15a"
+    assert digest.hexdigest() == "7bbd5de8f7024fe21a9de8c63a32385b70846b9c4c0e68e65a9864a294c9ae84"
 
 
 def test_search_keys_and_orders_match_recorded_digest(digest_searches):
@@ -742,22 +764,33 @@ def test_known_automorphisms_keep_key_and_order():
 
 
 def blow_up(rng, h):
-    """h with each vertex replaced by 1 to 3 vertices of the same row, relabelled at random."""
+    """h with each vertex replaced by 1 to 3 vertices, pairwise adjacent or not at random
+    (so with equal closed rows or equal open rows), relabelled at random."""
     blobs = []
     for x in range(h.n):
         blobs += [x] * rng.randint(1, 3)
-    g = Graph.from_edges(len(blobs), [(u, v) for u, v in itertools.combinations(range(len(blobs)), 2) if h.has_edge(blobs[u], blobs[v])])
+    cliques = {x for x in range(h.n) if rng.random() < 0.5}
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(blobs)), 2)
+        if h.has_edge(blobs[u], blobs[v]) or blobs[u] == blobs[v] and blobs[u] in cliques
+    ]
+    g = Graph.from_edges(len(blobs), edges)
     return permute_graph(g, random_permutation(rng, g.n))
 
 
 def test_twin_seeds_are_swaps_of_same_row_vertices_of_one_cell():
     # The default seeds come first among the generators, one for each vertex
-    # of a (cell, row) class after the first.  Each swaps two vertices of one
-    # input cell with equal rows, so it fixes the graph and every cell, and
-    # together they link exactly the members of each class.  The random
-    # colourings split the planted classes across cells.
+    # of a (cell, open row) or (cell, closed row) class after the first; the
+    # closed row of v is its row with its own bit.  Each swaps two vertices of
+    # one input cell with equal open rows (not adjacent) or equal closed rows
+    # (adjacent), so it fixes the graph and every cell.  No vertex lies in two
+    # classes of more than one member, and together the seeds link exactly the
+    # members of each class.  blow_up plants classes of both kinds, and the
+    # random colourings split them across cells.
     rng = random.Random(42)
     split = 0
+    kinds = set()
     for _ in range(60):
         g = blow_up(rng, random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8))))
         for colouring in (Colouring.unit(g.n), random_colouring(rng, g.n)):
@@ -765,38 +798,45 @@ def test_twin_seeds_are_swaps_of_same_row_vertices_of_one_cell():
             classes = {}
             for i, cell in enumerate(cells):
                 for v in cell:
-                    classes.setdefault((i, g.rows[v]), set()).add(v)
+                    for row in g.rows[v], g.rows[v] | 1 << v:
+                        classes.setdefault((i, row), set()).add(v)
             split += len({row for _, row in classes}) < len(classes)
+            twins = [members for members in classes.values() if len(members) > 1]
+            assert sum(map(len, twins)) == len(set().union(*twins))
             found = canon.search(g.rows, [c.copy() for c in cells])
-            seeds = found.generators[: sum(len(members) - 1 for members in classes.values())]
+            seeds = found.generators[: sum(len(members) - 1 for members in twins)]
             for image in seeds:
                 u, v = [w for w in range(g.n) if image[w] != w]
                 assert (image[u], image[v]) == (v, u), image
-                assert g.rows[u] == g.rows[v] and any({u, v} <= set(cell) for cell in cells), (u, v)
+                adjacent = g.has_edge(u, v)
+                kinds.add(adjacent)
+                assert g.rows[u] | adjacent << u == g.rows[v] | adjacent << v, (u, v)
+                assert any({u, v} <= set(cell) for cell in cells), (u, v)
                 assert permute_graph(g, Permutation(image)) == g and is_colour_preserving(Permutation(image), colouring)
             linked = closure_orbits(g.n, [{u: image[u] for u in range(g.n) if image[u] != u} for image in seeds])
-            assert {frozenset(orbit) for orbit in linked} == {frozenset(members) for members in classes.values()}
+            assert {frozenset(orbit) for orbit in linked if len(orbit) > 1} == set(map(frozenset, twins))
             plain = canon.search(g.rows, [c.copy() for c in cells], known=[])
             assert (found.key, found.order) == (plain.key, plain.order)
             as_dicts = [[dict(enumerate(image)) for image in s.generators] for s in (found, plain)]
             assert closure_orbits(g.n, as_dicts[0]) == closure_orbits(g.n, as_dicts[1])
-    assert split > 20
+    assert split > 20 and kinds == {False, True}
 
 
 def test_twin_seeds_take_empty_graphs_and_complete_bipartite_graphs_to_two_leaves():
     # Counts, not seconds: every vertex of an empty graph has the row 0, and
     # every vertex of one side of K_{a,b} the row of the other side, so the
-    # chains of swaps leave at most one child per side at every level.
+    # chains of swaps leave at most one child per side at every level.  The
+    # complements hold likewise with closed rows: every vertex of a complete
+    # graph has the closed row of all vertices, and every vertex of one
+    # clique of K_a + K_b the clique's closed row.
+    sizes = ((1, 1), (1, 7), (3, 5), (16, 16), (20, 44), (32, 32))
     cases = [Graph.empty(n) for n in (1, 2, 9, 33, 64)]
-    cases += [complete_bipartite(a, b) for a, b in ((1, 1), (1, 7), (3, 5), (16, 16), (20, 44), (32, 32))]
+    cases += [complete_bipartite(a, b) for a, b in sizes]
+    cases += [Graph.complete(n) for n in (1, 2, 9, 33, 64)]
+    cases += [disjoint_union([Graph.complete(a), Graph.complete(b)]) for a, b in sizes]
     with deadline(10):  # well under 1 s
         for g in cases:
-            keys = set()
-            for seed in range(5):
-                found = canon.search(permute_graph(g, random_permutation(random.Random(seed), g.n)).rows)
-                keys.add(found.key)
-                assert found.leaves <= 2, (g, seed, found.leaves)
-            assert len(keys) == 1, g
+            search_relabellings(g, g, 2)
 
 
 def test_are_isomorphic_hard_pairs():

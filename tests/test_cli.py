@@ -206,6 +206,21 @@ def test_repro_er_connectivity_shape():
     assert all(0 <= x <= 20 for x in high + low)
 
 
+def test_repro_er_connectivity_rejects_a_negative_trial_count_up_front(monkeypatch, capsys):
+    # At --max-n 1 no row is built, so only an up-front check sees the count.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling ran before the trial count check")
+
+    monkeypatch.setattr(generate, "generate_random_graphs", must_not_run)
+    for max_n in ("1", "3"):
+        code, out = run_cli(["repro", "er-connectivity", "--max-n", max_n, "--trials", "-1"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "gcanon: sample count must be a non-negative int, got -1\n"
+    monkeypatch.undo()
+    code, out = run_cli(["repro", "er-connectivity", "--max-n", "3", "--trials", "0"])
+    assert code == 0 and "(0, 0)" in out
+
+
 def test_repro_unknown_experiment():
     code, _ = run_cli(["repro", "a999999"])
     assert code == 2
