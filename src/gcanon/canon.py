@@ -12,17 +12,15 @@ node picks its target cell from them, and a child's list is its parent's
 with the target entry replaced by the rest of the cell, or dropped when that
 rest is a singleton.  So no node scans all n cells.
 
-Once a best leaf exists, each later leaf is decided without packing its
-candidate: sigma, the permutation mapping the best leaf's order onto this
-leaf's, is tested as an automorphism on one packed transpose of the rows of
-the points it moves, and no other row is read (see ``_is_automorphism``).
-The two candidates are equal exactly when sigma is an automorphism, so only
-a leaf whose sigma fails packs its key, which then differs from the best
-key; the leaf becomes the best one if its key is greater.  An automorphism
-sigma fixes the path the two leaves share and moves the vertex
-individualized at the level d where they part.  ``levels[i]`` is None or
-the orbit array (a forest whose roots are the orbit minima) of the kept
-automorphisms that fix ``base[:i]``, built from them when level i needs it.
+Every leaf packs its candidate's key (``codec.key_from_rows``), and the
+first leaf with the greatest key is the best one.  A later leaf whose key
+equals the best key is the same graph, so sigma, the permutation mapping the
+best leaf's order onto this leaf's, is an automorphism: equal leaf
+certificates decide automorphisms, as in nauty.  An automorphism sigma
+fixes the path the two leaves share and moves the vertex individualized at
+the level d where they part.  ``levels[i]`` is None or the orbit array (a
+forest whose roots are the orbit minima) of the kept automorphisms that fix
+``base[:i]``, built from them when level i needs it.
 Sigma is kept only if it joins two orbits at level d; ``levels[:d]`` is then
 reset, to be built again with sigma.  A sibling is skipped when it shares an
 orbit with an explored one (cells stay sorted, so exactly when it is not the
@@ -76,7 +74,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import codec
-from .core import Colouring, Graph, Permutation, packed_width, transpose
+from .core import Colouring, Graph, Permutation
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,30 +183,6 @@ def _join(orbits: list[int], sigma: Sequence[int], support: Iterable[int]) -> bo
     return merged
 
 
-def _is_automorphism(rows: Sequence[int], sigma: Sequence[int], support: Iterable[int]) -> bool:
-    """Whether sigma maps the graph onto itself, given the points sigma moves.
-
-    Only the rows of moved points are read: an edge between two fixed points
-    is its own image, and every other edge has a moved end u, where sigma
-    must map N(u) onto N(sigma(u)).  Row v of each moved v is placed at row sigma(v) of a
-    packed matrix (``core.packed_width``), which is transposed once; row u of
-    the transpose is then {sigma(v) : v moved, v ~ u}, and with the fixed
-    neighbours of u added it is sigma(N(u)), which must be N(sigma(u)).
-    """
-    w = packed_width(len(sigma))
-    moved = m = 0
-    for v in support:
-        moved |= 1 << v
-        m |= rows[v] << sigma[v] * w
-    t = transpose(m, w)
-    row_mask = (1 << w) - 1
-    fixed = ~moved
-    for u in support:
-        if (t >> u * w) & row_mask | rows[u] & fixed != rows[sigma[u]]:
-            return False
-    return True
-
-
 def search(
     rows: Sequence[int],
     cells: list[list[int]] | None = None,
@@ -217,6 +191,7 @@ def search(
 ) -> _Search:
     """Search the graph with adjacency rows ``rows`` from sorted cells (None:
     the unit cell), refined in place; the vertex count is ``len(rows)``.
+    Every leaf packs its key, and equal keys prove automorphisms.
 
     ``known`` holds automorphisms the caller already has, as image tuples;
     the caller vouches that each maps the graph and every input cell onto
@@ -280,26 +255,24 @@ def search(
         nonlocal best_key, best_order, leaf_count
         leaf_count += 1
         order = [c[0] for c in cells]
-        if best_order:
+        key = codec.key_from_rows(rows, order)
+        if key > best_key:
+            best_key = key
+            best_order = order
+        elif key == best_key:
+            # sigma, an automorphism, maps the best leaf's path onto this leaf's, so
+            # it fixes the levels the two paths share and moves base[d] where they part.
             sigma = [0] * n
             for b, v in zip(best_order, order):
                 sigma[b] = v
             support = [v for v, w in enumerate(sigma) if v != w]
-            if _is_automorphism(rows, sigma, support):
-                # sigma maps the best leaf's path onto this leaf's, so it fixes
-                # the levels the two paths share and moves base[d] where they part.
-                d = 0
-                while sigma[base[d]] == base[d]:
-                    d += 1
-                if _join(levels[d] or build_level(d), sigma, support):
-                    gens.append(tuple(sigma))
-                    moved.append((_mask(support), support))
-                    levels[:d] = [None] * d
-                return
-        key = codec.key_from_rows(rows, order)  # not the best key: that would make sigma an automorphism
-        if key > best_key:
-            best_key = key
-            best_order = order
+            d = 0
+            while sigma[base[d]] == base[d]:
+                d += 1
+            if _join(levels[d] or build_level(d), sigma, support):
+                gens.append(tuple(sigma))
+                moved.append((_mask(support), support))
+                levels[:d] = [None] * d
 
     def recurse(cells: list[list[int]], opened: _Opened) -> None:
         if not opened:

@@ -8,12 +8,13 @@ the upper triangle of the adjacency matrix in column order (0,1), (0,2),
 upper-triangle bit-vector doubles as an integer sort key: the first pair is
 the most significant bit, so comparing keys compares encoded strings.
 
-Reversed, the key holds column j as the j bits from j(j-1)/2 up: the lower j
-bits of row j.  So ``encode_graph6`` reverses the gathered lower triangle
-once, and ``rows_from_key`` reverses the key once and ORs in the transpose
-of that triangle (``core.transpose``) for the upper bits; a Graph6 payload
-is the key and then zero padding, read back through it.  Bytes are read and
-checked in order first, so every error keeps its message and offset.
+``key_from_rows`` packs on one transpose (``core.transpose``), and
+``encode_graph6`` is the key of the identity order.  Reversed, the key holds
+column j as the j bits from j(j-1)/2 up: the lower j bits of row j.  So
+``rows_from_key`` reverses the key once and ORs in the transpose of that
+triangle for the upper bits; a Graph6 payload is the key and then zero
+padding, read back through it.  Bytes are read and checked in order first,
+so every error keeps its message and offset.
 
 Decoding checks the header's vertex count with ``check_vertex_count``, so a
 zero-vertex string fails as a zero-vertex ``Graph`` would; Sparse6 streams
@@ -44,13 +45,18 @@ def key_from_rows(rows, order) -> int:
     """Pack the upper triangle of the vertices in ``order`` into an int, column order.
 
     The first pair is the most significant bit, so the key of ``order[:m]`` is
-    the top m(m-1)/2 bits of the key of ``order``.
+    the top m(m-1)/2 bits of the key of ``order``.  Row order[i] sits at row
+    w-1-i of one packed matrix, w = ``packed_width(len(rows))``; in its
+    transpose the top j bits of row order[j] are column j, first pair highest.
     """
+    w = packed_width(len(rows))
+    m = 0
+    for v in order:
+        m = m << w | rows[v]
+    t = transpose(m << (w - len(order)) * w, w)
     key = 0
     for j, v in enumerate(order):
-        rv = rows[v]
-        for u in order[:j]:
-            key = (key << 1) | ((rv >> u) & 1)
+        key = key << j | t >> (v + 1) * w - j & (1 << j) - 1
     return key
 
 
@@ -130,11 +136,7 @@ def graph6_from_key(n: int, key: int) -> str:
 
 def encode_graph6(graph: Graph) -> str:
     """The Graph6 string of a graph."""
-    lower = offset = 0
-    for j, row in enumerate(graph.rows):
-        lower |= (row & ((1 << j) - 1)) << offset
-        offset += j
-    return graph6_from_key(graph.n, _reverse(lower, offset))
+    return graph6_from_key(graph.n, key_from_rows(graph.rows, range(graph.n)))
 
 
 def encode_sparse6(graph: Graph) -> str:

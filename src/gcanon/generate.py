@@ -58,8 +58,8 @@ def GenOptions(
 ) -> GraphFilter:
     """The filter for the classic generation switches and edge-count window."""
     for name, value in (("min_edges", min_edges), ("max_edges", max_edges)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+            raise ValueError(f"{name} must be a non-negative int, got {value!r}")
     if min_edges is not None and max_edges is not None and min_edges > max_edges:
         raise ValueError(f"min_edges {min_edges} exceeds max_edges {max_edges}")
     clauses = []

@@ -19,6 +19,7 @@ from conftest import (
     deadline,
     disjoint_union,
     hypercube,
+    inverse,
     is_colour_preserving,
     johnson,
     latin_square_graph,
@@ -530,12 +531,11 @@ def test_refine_reads_no_row_of_a_cell_its_splitters_miss():
 
 
 def test_search_packs_keys_only_at_leaves(monkeypatch):
-    # Only leaves pack a candidate key, over a full order of n distinct
-    # vertices; an inner node that packs a partial one to compare with the
-    # best key would show here.  A leaf whose sigma is an automorphism packs
-    # none, so on empty and complete graphs only the first leaf packs, while
-    # the Chang graph has inequivalent leaves too.  The searches pass no
-    # twin seeds, which would leave empty(20) a single leaf.
+    # Every leaf packs exactly one key, over a full order of n distinct
+    # vertices, and no inner node packs one: an inner node that packed a
+    # partial key to compare with the best would show here as a short order
+    # or as more keys than leaves.  The searches pass no twin seeds, which
+    # would leave empty(20) a single leaf.
     rng = random.Random(32)
     orders = []
 
@@ -551,24 +551,12 @@ def test_search_packs_keys_only_at_leaves(monkeypatch):
         monkeypatch.undo()
         return found
 
-    for g, only_first_packs in [(Graph.empty(20), True), (Graph.complete(12), True), (chang(), False)]:
+    for g in (Graph.empty(20), Graph.complete(12), chang()):
         h = permute_graph(g, random_permutation(rng, g.n))
         found = search(h.rows, known=[])
         assert all(sorted(order) == list(range(h.n)) for order in orders)
-        assert 1 <= len(orders) < found.leaves
-        assert (len(orders) == 1) == only_first_packs
+        assert len(orders) == found.leaves > 1
     assert (search(permute_graph(Graph.empty(20), random_permutation(rng, 20)).rows).leaves, len(orders)) == (1, 1)
-
-
-class RowsOf:
-    """Adjacency rows that fail a read outside the given points."""
-
-    def __init__(self, rows, points):
-        self.rows, self.points = rows, set(points)
-
-    def __getitem__(self, v):
-        assert v in self.points, f"row {v} read, outside sigma's support"
-        return self.rows[v]
 
 
 def plant_twins(rng, g, pairs):
@@ -583,42 +571,6 @@ def plant_twins(rng, g, pairs):
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
     return Graph(g.n, tuple(rows))
-
-
-def test_is_automorphism_matches_permute_graph():
-    # Densities 0.1-0.9 give sparse and dense rows; sigma is a random
-    # permutation, a product of returned generators or a transposition of
-    # twins, and may read only the rows of the points it moves.
-    rng = random.Random(37)
-    outcomes = []
-    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for _ in range(24):
-            n = rng.randint(2, 24)
-            g = random_graph(rng, n, density)
-            g = plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))])
-            twins = [
-                (u, v)
-                for u, v in itertools.combinations(range(n), 2)
-                if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
-            ]
-            gens = canonical_label(g).automorphism_generators
-            sigmas = [random_permutation(rng, n) for _ in range(4)]
-            for _ in range(4 if gens else 0):
-                product = Permutation(tuple(range(n)))
-                for gen in rng.choices(gens, k=rng.randint(1, 3)):
-                    product = compose(product, gen)
-                sigmas.append(product)
-            for u, v in twins[:4]:
-                image = list(range(n))
-                image[u], image[v] = v, u
-                sigmas.append(Permutation(tuple(image)))
-            for sigma in sigmas:
-                support = [v for v in range(n) if sigma.image[v] != v]
-                fixes = canon._is_automorphism(RowsOf(g.rows, support), sigma.image, support)
-                assert fixes == (permute_graph(g, sigma) == g)
-                outcomes.append((density, fixes))
-    for density in (0.1, 0.9):
-        assert (density, True) in outcomes and (density, False) in outcomes
 
 
 def sigmas_to_test(rng, g, count):
@@ -640,16 +592,18 @@ def sigmas_to_test(rng, g, count):
     return sigmas
 
 
-def test_is_automorphism_matches_permute_graph_at_every_width(monkeypatch):
-    # The packed matrix of the test is w = packed_width(n) bits wide: every n
-    # from 25 to 64 and each side of a width edge (8/9, 16/17, 32/33 and, under
-    # a raised cap, 64/65 and 128/129), then the ladder families at the cap.
+def test_equal_keys_decide_automorphisms(monkeypatch):
+    # A leaf whose key equals the best key is an automorphism leaf: the key of
+    # the order sigma^-1 (vertex sigma^-1(i) at position i) equals the key of
+    # the identity order exactly when sigma maps the graph onto itself.  Each
+    # side of a width edge (8/9, 16/17, 32/33 and, under a raised cap, 64/65
+    # and 128/129), then the ladder families at the cap.
     from gcanon import core
 
     monkeypatch.setattr(core, "VERTEX_CAP", 129)
     rng = random.Random(40)
     graphs = []
-    for n in [8, 9, 16, 17, 32, 33, *range(25, 65), 65, 129]:
+    for n in (8, 9, 16, 17, 32, 33, 64, 65, 128, 129):
         g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
         graphs.append(plant_twins(rng, g, [tuple(rng.sample(range(n), 2)) for _ in range(3)]))
     ladder = [hypercube(6), paley(61), disjoint_union([petersen()] * 6), complete_bipartite(32, 32)]
@@ -657,12 +611,13 @@ def test_is_automorphism_matches_permute_graph_at_every_width(monkeypatch):
     outcomes = set()
     with deadline(60):
         for g in graphs:
+            key = codec.key_from_rows(g.rows, range(g.n))
             for sigma in sigmas_to_test(rng, g, 3):
-                support = [v for v in range(g.n) if sigma.image[v] != v]
-                fixes = canon._is_automorphism(RowsOf(g.rows, support), sigma.image, support)
+                order = inverse(sigma).image
+                fixes = codec.key_from_rows(g.rows, order) == key
                 assert fixes == (permute_graph(g, sigma) == g), (g.n, sigma)
                 outcomes.add((g.n, fixes))
-    for n in (8, 9, 16, 17, 32, 33, 60, 61, 64, 65, 129):
+    for n in (8, 9, 16, 17, 32, 33, 60, 61, 64, 65, 128, 129):
         assert (n, True) in outcomes and (n, False) in outcomes, n
 
 

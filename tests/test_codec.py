@@ -144,8 +144,11 @@ def test_key_round_trip():
 
 
 def test_key_kernel_round_trips_against_the_pair_loop(monkeypatch):
-    # rows_from_key and encode_graph6 reverse the key once and transpose the
-    # lower triangle; the pair loops in conftest read and write it pair by pair.
+    # rows_from_key reverses the key once and transposes the lower triangle,
+    # and key_from_rows packs the rows in its order on one transpose; the
+    # pair loops in conftest read and write the key pair by pair.  A shuffled
+    # order packs the key of the graph relabelled by it, and each prefix of
+    # the order its top bits, at every width and on each side of a width edge.
     from gcanon import core
 
     monkeypatch.setattr(core, "VERTEX_CAP", 129)
@@ -161,6 +164,12 @@ def test_key_kernel_round_trips_against_the_pair_loop(monkeypatch):
             s = encode_graph6(g)
             assert s == graph6_from_key(n, key)
             assert decode(s) == g
+            order = rng.sample(range(n), n)
+            position = Permutation(tuple(order.index(v) for v in range(n)))
+            ordered_key = pair_loop_key(permute_graph(g, position).rows)
+            for m in range(n + 1):
+                top = ordered_key >> (n * (n - 1) // 2 - m * (m - 1) // 2)
+                assert key_from_rows(g.rows, order[:m]) == top, (n, m)
     # n = 1 has a 0-bit key
     assert rows_from_key(1, 0) == [0] and encode_graph6(Graph.empty(1)) == "@" and decode("@") == Graph.empty(1)
 

@@ -365,7 +365,7 @@ def test_vertex_connectivity_matches_brute_force_small():
             assert connectivity_at_most(g, cap) == min(kappa, cap), (g, cap)
 
 
-def test_vertex_cap_is_configurable(monkeypatch):
+def test_check_vertex_count_reads_the_cap_when_called(monkeypatch):
     from gcanon import core
 
     monkeypatch.setattr(core, "VERTEX_CAP", 4)

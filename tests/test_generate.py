@@ -293,6 +293,27 @@ def test_gen_options_validation():
         GenOptions(min_edges=-1)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"min_edges": True}, r"^min_edges must be a non-negative int, got True$"),
+        ({"max_edges": True}, r"^max_edges must be a non-negative int, got True$"),
+        ({"min_edges": "3"}, r"^min_edges must be a non-negative int, got '3'$"),
+        ({"min_edges": 1.5}, r"^min_edges must be a non-negative int, got 1\.5$"),
+        ({"max_edges": 2.0}, r"^max_edges must be a non-negative int, got 2\.0$"),
+        ({"min_edges": 2, "max_edges": "5"}, r"^max_edges must be a non-negative int, got '5'$"),
+        ({"max_edges": -1}, r"^max_edges must be a non-negative int, got -1$"),
+    ],
+    ids=["bool-min", "bool-max", "str-min", "float-min", "float-max", "str-max", "negative-max"],
+)
+def test_gen_options_rejects_an_edge_bound_that_is_not_a_non_negative_int(options, message):
+    # A bool min_edges used to be read as 1 and a bool max_edges to fail in
+    # the filter, a str bound raised a bare TypeError from the sign check, and
+    # min_edges=1.5 reported the range (0, 0.5).
+    with pytest.raises(ValueError, match=message):
+        GenOptions(**options)
+
+
 def test_random_degenerate_probabilities():
     empties = generate_random_graphs(RandomModel(6, 10, 0.0, seed=1))
     assert empties == [Graph.empty(6)] * 10
