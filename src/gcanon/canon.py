@@ -278,14 +278,8 @@ def search(
         if not opened:
             process_leaf(cells)
             return
-        t = -1
-        size = n + 1
-        for i, (cell, _) in enumerate(opened):
-            if len(cell) < size:
-                t = i
-                size = len(cell)
-                if size == 2:
-                    break
+        sizes = [len(cell) for cell, _ in opened]
+        t = sizes.index(min(sizes))
         cell, cmask = opened[t]
         target = cells.index(cell)
         d = len(base)

@@ -80,7 +80,7 @@ class Graph:
             w = packed_width(n)
             m = _packed(rows, w)
             t = transpose(m, w)
-            if m == t and not m & (_MATRIX_MASKS.get(w) or _matrix_masks(w))[0]:
+            if m == t and not m & _MATRIX_MASKS[w][0]:
                 return
         for v, row in enumerate(rows):
             if not _all_ints((row,)):
@@ -328,8 +328,8 @@ def _packed(rows: Sequence[int], w: int) -> int:
 
 def transpose(m: int, w: int) -> int:
     """The transpose of the packed bit matrix m of at most w rows: row j holds
-    bit j of every row.  A width over 64 builds its masks on each call."""
-    for shift, mask in (_MATRIX_MASKS.get(w) or _matrix_masks(w))[1]:
+    bit j of every row."""
+    for shift, mask in _MATRIX_MASKS[w][1]:
         x = (m ^ (m >> shift)) & mask
         m ^= x ^ (x << shift)
     return m

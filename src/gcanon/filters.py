@@ -15,13 +15,15 @@ complete-graph convention.  ``Connectivity=lo..hi`` asks
 [lo, hi] exactly when kappa does.
 
 The accompanying text grammar (used by the CLI) is a comma-separated list of
-``Name=value`` items, where value is an integer, an inclusive range
-``lo..hi``, or ``true``/``false``, and a ``!`` before the name negates the
-constraint: ``NumCycles=0,!Connectivity=0`` keeps exactly the trees.
+``Name=value`` items, where value is an integer (an optional sign and ASCII
+digits), an inclusive range ``lo..hi``, or ``true``/``false``, and a ``!``
+before the name negates the constraint: ``NumCycles=0,!Connectivity=0``
+keeps exactly the trees.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +46,7 @@ _PROPERTY_VALUES = {
 }
 PROPERTY_NAMES = frozenset(_PROPERTY_VALUES)
 BOOLEAN_PROPERTIES = frozenset({"Bipartite", "Regular", "Connected"})
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)  # the grammar's integers: int() takes more
 
 
 class FilterSpecError(ValueError):
@@ -149,16 +152,11 @@ def parse_filter_spec(text: str) -> GraphFilter:
 def _parse_value(item: str, text: str) -> bool | int | tuple[int, int]:
     if text in ("true", "false"):
         return text == "true"
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            return int(lo_text), int(hi_text)
-        except ValueError:
-            raise FilterSpecError(f"bad range in {item!r}") from None
-    try:
-        return int(text)
-    except ValueError:
-        raise FilterSpecError(f"bad value in {item!r}") from None
+    bounds = text.split("..")
+    if len(bounds) > 2 or not all(map(_INTEGER.fullmatch, bounds)):
+        raise FilterSpecError(f"bad {'range' if len(bounds) > 1 else 'value'} in {item!r}")
+    values = tuple(map(int, bounds))
+    return values if len(values) == 2 else values[0]
 
 
 def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:

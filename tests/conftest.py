@@ -165,9 +165,9 @@ def normalize_colouring(colouring: Colouring) -> Colouring:
     return Colouring(tuple(frozenset(range(end - len(cell), end)) for cell, end in zip(colouring.cells, ends)))
 
 
-# Every n up to the default cap, which holds the packed widths' edges 8/9,
-# 16/17 and 32/33, then the edges past 64 that a raised cap admits.
-PACKED_SIZES = (*range(1, 65), 65, 127, 128, 129)
+# Every n up to the cap, which holds the packed widths' edges 8/9, 16/17
+# and 32/33, and the widest width, 64.
+PACKED_SIZES = range(1, 65)
 
 
 def pair_loop_rows_error(n: int, rows) -> str | None:

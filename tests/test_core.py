@@ -365,15 +365,6 @@ def test_vertex_connectivity_matches_brute_force_small():
             assert connectivity_at_most(g, cap) == min(kappa, cap), (g, cap)
 
 
-def test_check_vertex_count_reads_the_cap_when_called(monkeypatch):
-    from gcanon import core
-
-    monkeypatch.setattr(core, "VERTEX_CAP", 4)
-    with pytest.raises(VertexCapError):
-        Graph.empty(5)
-    assert Graph.empty(4).n == 4
-
-
 @pytest.mark.parametrize("n", [65, 2**70])
 def test_constructors_check_the_cap_before_allocating(n):
     # At 2**70 a constructor that allocated first would raise OverflowError
@@ -462,10 +453,7 @@ def asymmetric_variants(rng, n, rows):
     return out
 
 
-def test_graph_validation_raises_what_the_pair_loop_finds(monkeypatch):
-    from gcanon import core
-
-    monkeypatch.setattr(core, "VERTEX_CAP", 129)
+def test_graph_validation_raises_what_the_pair_loop_finds():
     rng = random.Random(34)
     for n in PACKED_SIZES:
         for density in (0.1, 0.5, 0.9):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -115,6 +116,15 @@ def test_parse_filter_spec_errors_name_the_item():
         parse_filter_spec("NumEdges=x")
     with pytest.raises(FilterSpecError, match="Girth=3..q"):
         parse_filter_spec("Girth=3..q")
+    # An integer is an optional sign and ASCII digits, with spaces around it;
+    # int() would take the underscores and the Arabic-Indic three.
+    for spec in ("NumEdges=1_0", "NumEdges=\u0663", "NumEdges=- 3", "NumEdges=3.0", "NumEdges="):
+        with pytest.raises(FilterSpecError, match=f"^bad value in {re.escape(repr(spec))}$"):
+            parse_filter_spec(spec)
+    for spec in ("NumEdges=1_0..20", "NumEdges=1..\u0663", "NumEdges=1..2..3", "NumEdges=..3", "NumEdges=1..."):
+        with pytest.raises(FilterSpecError, match=f"^bad range in {re.escape(repr(spec))}$"):
+            parse_filter_spec(spec)
+    assert parse_filter_spec("NumEdges=1 .. 3") == parse_filter_spec("NumEdges=+1..3")
     with pytest.raises(FilterSpecError):
         parse_filter_spec("NumCycles")
     with pytest.raises(FilterSpecError):

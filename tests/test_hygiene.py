@@ -29,7 +29,9 @@ staticmethods aside) must be read as an attribute, ``x.name``, in ``src``,
 ``perfbench`` or ``tools``, and every keyword-only parameter of a
 ``src/gcanon`` function must be passed by name at a call of that function
 there.  A member or a keyword that only tests use is a second path that
-only tests walk.
+only tests walk.  No ``tests/*.py`` writes ``VERTEX_CAP`` either, by
+assignment or through ``setattr``, ``delattr`` or ``monkeypatch.setattr``:
+the cap is a constant, and the library runs only up to it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import gcanon
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "gcanon").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _module_names(tree: ast.Module) -> set[str]:
@@ -199,6 +202,51 @@ def f():
         "line 8: writes o.sep",
         "line 9: writes core.?",
     ]
+
+
+def vertex_cap_writes(source: str) -> list[str]:
+    """Line-numbered writes of an attribute named ``VERTEX_CAP`` in ``source``.
+
+    An assignment (plain, augmented, annotated or ``del``) to such an
+    attribute counts, and so does a ``setattr`` or ``delattr`` call, plain or
+    a method such as ``monkeypatch.setattr``, whose name argument is
+    ``"VERTEX_CAP"`` or a dotted target string that ends in it.
+    """
+    tree = ast.parse(source)
+    found = [attr.lineno for attr in _written_attributes(tree) if attr.attr == "VERTEX_CAP"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "delattr"):
+            names = [arg.value for arg in node.args[:2] if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            if any(name.rpartition(".")[2] == "VERTEX_CAP" for name in names):
+                found.append(node.lineno)
+    return [f"line {lineno}: writes VERTEX_CAP" for lineno in sorted(found)]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_test_writes_the_vertex_cap(path):
+    assert vertex_cap_writes(path.read_text()) == []
+
+
+def test_vertex_cap_write_check_catches_every_form():
+    source = """
+from gcanon import core
+import gcanon.core as c
+
+def test_raised(monkeypatch):
+    core.VERTEX_CAP = 129
+    c.VERTEX_CAP += 1
+    del core.VERTEX_CAP
+    core.VERTEX_CAP: int = 5
+    setattr(core, "VERTEX_CAP", 4)
+    delattr(c, "VERTEX_CAP")
+    monkeypatch.setattr(core, "VERTEX_CAP", 70)
+    monkeypatch.setattr("gcanon.core.VERTEX_CAP", 70)
+    monkeypatch.setenv("GCANON_VERTEX_CAP", "70")
+    cap = core.VERTEX_CAP + 1
+    check_vertex_count(core.VERTEX_CAP)
+    "core.VERTEX_CAP = 3"
+"""
+    assert vertex_cap_writes(source) == [f"line {n}: writes VERTEX_CAP" for n in range(6, 14)]
 
 
 ENVIRONMENT_READS = frozenset({"environ", "environb", "getenv", "getenvb"})
