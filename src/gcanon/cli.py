@@ -15,7 +15,9 @@ experiment around the p = log(n)/n threshold (natural logarithm).
 from __future__ import annotations
 
 import argparse
+import io
 import math
+import os
 import sys
 from typing import IO, Iterable, Iterator, NoReturn
 
@@ -106,7 +108,8 @@ def _cmd_pick(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
-    (_, g), (_, h) = codec.decode_numbered(enumerate((args.g6a, args.g6b), 1), "argument")
+    texts = (os.fsencode(text).decode("latin-1") for text in (args.g6a, args.g6b))
+    (_, g), (_, h) = codec.decode_numbered(enumerate(texts, 1), "argument")
     answer = canon.are_isomorphic(g, h)
     out.write("true\n" if answer else "false\n")
     return 0 if answer else 1
@@ -181,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None, stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        stdin = stdin if stdin is not None else sys.stdin
+        stdin = stdin if stdin is not None else io.TextIOWrapper(sys.stdin.buffer, encoding="latin-1", newline="\n")
         stdout = stdout if stdout is not None else sys.stdout
         return args.handler(args, stdin, stdout)
     except BrokenPipeError:

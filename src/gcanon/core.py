@@ -269,7 +269,6 @@ class Colouring:
         cells = tuple(frozenset(c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
         seen: set[int] = set()
-        total = 0
         for i, cell in enumerate(cells):
             if not cell:
                 raise ValueError(f"cell {i} is empty")
@@ -278,9 +277,8 @@ class Colouring:
             if cell & seen:
                 raise ValueError(f"cell {i} overlaps an earlier cell")
             seen |= cell
-            total += len(cell)
-        if seen != set(range(total)):
-            raise ValueError(f"cells do not partition 0..{total - 1}")
+        if seen != set(range(len(seen))):
+            raise ValueError(f"cells do not partition 0..{len(seen) - 1}")
 
     @classmethod
     def unit(cls, n: int) -> Colouring:
@@ -294,19 +292,16 @@ class Colouring:
 
 
 def _matrix_masks(w: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The diagonal of a packed w x w matrix, and each round of its transpose:
-    the upper-right s x s block of every 2s x 2s diagonal block as a mask,
-    and the shift s*(w - 1) to its lower-left partner."""
-    width = w // 8
-    diagonal = int.from_bytes(b"".join((1 << i).to_bytes(width, "little") for i in range(w)), "little")
+    """The diagonal of a packed w x w matrix, and each round s of its transpose:
+    the upper-right s x s block of every 2s x 2s diagonal block (the rows r
+    with not r & s) as a mask, and the shift s*(w - 1) to its lower-left partner."""
     rounds = []
     s = w // 2
     while s:
-        row = sum(((1 << s) - 1) << j for j in range(s, w, 2 * s)).to_bytes(width, "little")
-        band = (row * s + bytes(width) * s) * (w // (2 * s))
-        rounds.append((s * (w - 1), int.from_bytes(band, "little")))
+        row = sum(((1 << s) - 1) << j for j in range(s, w, 2 * s))
+        rounds.append((s * (w - 1), sum(row << r * w for r in range(w) if not r & s)))
         s //= 2
-    return diagonal, tuple(rounds)
+    return sum(1 << i * (w + 1) for i in range(w)), tuple(rounds)
 
 
 _MATRIX_MASKS = {w: _matrix_masks(w) for w in (8, 16, 32, 64)}

@@ -31,7 +31,7 @@ from . import codec
 from .core import Graph, connectivity_at_most, girth
 
 # Each property's reader; None (a forest's girth) matches no value.
-# Connectivity's reader takes a cap as well: _matches passes hi + 1.
+# Connectivity's reader takes hi as well: min(kappa, hi + 1) decides lo <= kappa <= hi.
 _PROPERTY_VALUES = {
     "Bipartite": Graph.is_bipartite,
     "Regular": lambda graph: len({row.bit_count() for row in graph.rows}) == 1,
@@ -40,7 +40,7 @@ _PROPERTY_VALUES = {
     "NumEdges": Graph.num_edges,
     "MinDegree": lambda graph: graph.degree_sequence()[0],
     "MaxDegree": lambda graph: graph.degree_sequence()[-1],
-    "Connectivity": connectivity_at_most,
+    "Connectivity": lambda graph, hi: connectivity_at_most(graph, hi + 1) if graph.n > 1 else None,
     "NumCycles": Graph.circuit_rank,
     "Girth": girth,
 }
@@ -108,8 +108,8 @@ def build_graph_filter(spec: Iterable[tuple[str, object]]) -> GraphFilter:
         if not (isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str)):
             raise FilterSpecError(f"expected a (name, value) pair, got {item!r}")
         key, value = item
-        if key.startswith("Negate") and key[len("Negate") :] in PROPERTY_NAMES:
-            base = key[len("Negate") :]
+        base = key.removeprefix("Negate")
+        if base != key and base in PROPERTY_NAMES:
             if base in negates:
                 raise FilterSpecError(f"duplicate key {key!r}")
             if not isinstance(value, bool):
@@ -166,11 +166,7 @@ def _matches(constraint: PropertyConstraint, graph: Graph) -> bool:
         result = read(graph) is constraint.value
     else:
         lo, hi = constraint.value
-        if name == "Connectivity":
-            # min(kappa, hi + 1) decides lo <= kappa <= hi; K1 matches no value
-            value = read(graph, hi + 1) if graph.n > 1 else None
-        else:
-            value = read(graph)
+        value = read(graph, hi) if name == "Connectivity" else read(graph)
         result = value is not None and lo <= value <= hi
     return result != constraint.negate
 

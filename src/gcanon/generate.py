@@ -142,23 +142,20 @@ def _hereditary_bounds(constraints: GraphFilter) -> tuple[tuple[bool, int | None
     # (bipartite, edge budget, cycle budget) from the clauses that survive
     # vertex deletion, and the residual filter of the clauses that these do
     # not settle; a negated bound is not hereditary and stays in the residual.
-    bipartite, max_edges, max_cycles = False, None, None
+    bipartite, budgets = False, {"NumEdges": None, "NumCycles": None}
     residual = []
     for c in constraints.constraints:
         if c.name == "Bipartite":
             bipartite = enforced = c.value != c.negate
-        elif c.name in ("NumEdges", "NumCycles") and not c.negate:
+        elif c.name in budgets and not c.negate:
             lo, hi = c.value
-            if c.name == "NumEdges":
-                max_edges = hi
-            else:
-                max_cycles = hi
+            budgets[c.name] = hi
             enforced = lo <= 0 <= hi  # hi < 0 must still reject the one-vertex graph
         else:
             enforced = False
         if not enforced:
             residual.append(c)
-    return (bipartite, max_edges, max_cycles), GraphFilter(tuple(residual))
+    return (bipartite, budgets["NumEdges"], budgets["NumCycles"]), GraphFilter(tuple(residual))
 
 
 def _neighbourhood_masks(

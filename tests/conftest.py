@@ -52,6 +52,7 @@ def run_module_cli(args, stdin_text="", env_extra=None):
 
     Its parent directory goes first on the path, so a subprocess runs the
     library under test, such as a mutated copy, and not the checkout's src/.
+    A bytes stdin is sent as it is, and the result's streams are bytes too.
     """
     env = dict(os.environ)
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(gcanon.__file__)))
@@ -62,7 +63,7 @@ def run_module_cli(args, stdin_text="", env_extra=None):
         [sys.executable, "-m", "gcanon", *args],
         input=stdin_text,
         capture_output=True,
-        text=True,
+        text=isinstance(stdin_text, str),
         env=env,
     )
 

@@ -34,19 +34,20 @@ def bench_stub(tmp_path, end_to_end, parent, change=None, fail_first=False, pass
 
     Each side's runs report its entry of passes as their pass count, and its
     traced run its entry of layers as the per-layer metrics.  The parent's
-    src/gcanon holds three lines in two files, the change's two.
+    src/gcanon holds nine lines in two files, four of them code, and the
+    change drops a blank line, a comment and one line of code from core.py.
     """
     os.makedirs(tmp_path / "perfbench")
     os.makedirs(tmp_path / "src" / "gcanon")
-    (tmp_path / "src" / "gcanon" / "core.py").write_text("x = 1\ny = 2\n")
-    (tmp_path / "src" / "gcanon" / "cli.py").write_text("z = 3\n")
+    (tmp_path / "src" / "gcanon" / "core.py").write_text('"""Doc\nstring."""\nx = 1\n\n# note\ny = 2\n')
+    (tmp_path / "src" / "gcanon" / "cli.py").write_text('def z():\n    """Doc."""\n    return 3  # trailing\n')
     (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "symmetric"}], "end_to_end": end_to_end}))
     stub = tmp_path / "perfbench" / "stub.json"
     stub.write_text(json.dumps({"fail_first": fail_first, "metrics": parent, "passes": passes[0], "layers": layers[0]}))
     commit_all(tmp_path)
     stub.write_text(json.dumps({"fail_first": fail_first, "metrics": change or parent, "passes": passes[1], "layers": layers[1]}))
-    (tmp_path / "src" / "gcanon" / "core.py").write_text("x = 1\n")
+    (tmp_path / "src" / "gcanon" / "core.py").write_text('"""Doc\nstring."""\nx = 1\n')
     out = tmp_path / "pairs.json"
     proc = subprocess.run([sys.executable, TOOL, "HEAD", "--out", str(out)], cwd=tmp_path, capture_output=True, text=True)
     return proc, json.loads(out.read_text())["workloads"]["symmetric"]
@@ -116,8 +117,12 @@ def test_bench_pairs_keeps_each_sides_traced_layers(tmp_path):
     }
     assert [entry["traced"][side]["result"]["correct"] for side in ("parent", "change")] == [True, True]
     assert len(entry["runs"]) == 20
-    assert json.loads((tmp_path / "pairs.json").read_text())["src_lines"] == {"parent": 3, "change": 2}
-    assert [line for line in proc.stderr.splitlines() if line.startswith("src_lines")] == ["src_lines 3 -> 2 (-1)"]
+    bench = json.loads((tmp_path / "pairs.json").read_text())
+    assert (bench["src_lines"], bench["src_code_lines"]) == ({"parent": 9, "change": 6}, {"parent": 4, "change": 3})
+    assert [line for line in proc.stderr.splitlines() if line.startswith("src_")] == [
+        "src_lines 9 -> 6 (-3)",
+        "src_code_lines 4 -> 3 (-1)",
+    ]
 
 
 def test_provenance_hashes_untracked_files(tmp_path):

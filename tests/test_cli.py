@@ -140,6 +140,9 @@ def test_iso_exit_codes(capsys):
         code, _ = run_cli(argv)
         assert code == 2
         assert capsys.readouterr().err == f"gcanon: argument {position}: invalid byte 32 (byte offset 1)\n"
+    # an argument is read byte for byte too: the first byte of U+00E9 is 195
+    assert run_cli(["iso", "D\u00e9", "Dhc"])[0] == 2
+    assert capsys.readouterr().err == "gcanon: argument 1: invalid byte 195 (byte offset 1)\n"
 
 
 def test_iso_pairwise_sweep_subset():
@@ -280,6 +283,15 @@ def test_console_entry_point_subprocess():
     assert len(result.stdout.splitlines()) == 11
     result = module_cli(["iso", "Dhc", "D~{"])
     assert result.returncode == 1
+
+
+def test_label_reads_stdin_byte_for_byte():
+    # Each input byte is one character whatever the stream encoding, so byte
+    # 255 is named by its value and line, after the lines before it are out.
+    for env in (None, {"PYTHONIOENCODING": "utf-8"}):
+        result = module_cli(["label"], b"Dhc\nDhc\nD\xffc\nDhc\n", env_extra=env)
+        assert result.returncode == 2 and result.stdout == b"DLo\nDLo\n"
+        assert result.stderr == b"gcanon: line 3: invalid byte 255 (byte offset 1)\n"
 
 
 def test_vertex_cap_env_override_subprocess():

@@ -145,12 +145,12 @@ def test_permutation_rejects_a_float_entry():
 
 
 def test_colouring_validation():
-    with pytest.raises(ValueError):
-        Colouring(([0, 1], [1, 2]))  # overlap
-    with pytest.raises(ValueError):
-        Colouring(([0], [2]))  # gap
-    with pytest.raises(ValueError):
-        Colouring(([0], []))  # empty cell
+    with pytest.raises(ValueError, match="^cell 1 overlaps an earlier cell$"):
+        Colouring(([0, 1], [1, 2]))
+    with pytest.raises(ValueError, match=r"^cells do not partition 0\.\.1$"):
+        Colouring(([0], [2]))
+    with pytest.raises(ValueError, match="^cell 1 is empty$"):
+        Colouring(([0], []))
     assert Colouring.unit(3).cells == (frozenset({0, 1, 2}),)
 
 

@@ -58,6 +58,8 @@ def test_build_filter_errors():
         build_graph_filter([("NumEdges", (4, 2))])
     with pytest.raises(FilterSpecError):
         build_graph_filter([("NegateConnectivity", 1), ("Connectivity", 0)])
+    with pytest.raises(FilterSpecError, match="^unknown property 'NegateNumLoops'$"):
+        build_graph_filter([("NegateNumLoops", True)])
     with pytest.raises(FilterSpecError, match="^duplicate key 'NegateGirth'$"):
         build_graph_filter([("Girth", 3), ("NegateGirth", True), ("NegateGirth", False)])
     with pytest.raises(FilterSpecError, match="^NumEdges takes an integer or range, got 'ab'$"):

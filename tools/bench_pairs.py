@@ -27,6 +27,9 @@ traced or not, was not correct.  The working tree is named by ``provenance``,
 and ``src_lines`` gives each tree's line count of ``src/gcanon/*.py``, the
 net line count that a change reports next to its numbers; one stderr line,
 ``src_lines PARENT -> CHANGE (+N)``, says the same before the runs start.
+``src_code_lines`` counts only the lines that are not blank, comment-only or
+docstring lines, so that deleted comments do not read as a smaller program,
+and its own stderr line, ``src_code_lines PARENT -> CHANGE (+N)``, follows.
 After the pairs, one ``claim:`` stderr line per workload and end-to-end metric
 gives the figures a gain claim is judged by: both medians, the median change,
 the change's wins out of the pairs and the parent's IQR as a share of its
@@ -37,6 +40,7 @@ median, then both pass-count medians, and ``OVER BOUND`` with the bound when
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import hashlib
 import io
@@ -90,6 +94,24 @@ def src_lines(tree: str) -> int:
     for path in glob.glob(os.path.join(tree, "src", "gcanon", "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
+    return total
+
+
+def src_code_lines(tree: str) -> int:
+    """The number of lines in the files src/gcanon/*.py of tree that are not
+    blank, comment-only or part of a docstring, which ``ast`` finds."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "gcanon", "*.py")):
+        with open(path, "rb") as fh:
+            source = fh.read()
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, documented) and ast.get_docstring(node) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            text = line.strip()
+            total += bool(text) and not text.startswith(b"#") and lineno not in docstrings
     return total
 
 
@@ -204,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": parent_tree, "change": root}
         lines = bench["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         print(f"src_lines {lines['parent']} -> {lines['change']} ({lines['change'] - lines['parent']:+d})", file=sys.stderr)
+        code = bench["src_code_lines"] = {side: src_code_lines(tree) for side, tree in trees.items()}
+        print(f"src_code_lines {code['parent']} -> {code['change']} ({code['change'] - code['parent']:+d})", file=sys.stderr)
         for workload in (w["name"] for w in declared["workloads"]):
             runs = []
             for pair in range(PAIRS):
