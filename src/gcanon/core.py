@@ -204,19 +204,17 @@ def _local_connectivity(graph: Graph, s: int, t: int, limit: int) -> int:
     # Max internally vertex-disjoint s-t paths: unit-capacity max flow on
     # the split digraph (v_in = 2v, v_out = 2v+1), capped at `limit`.  The
     # network is read from the rows, once per pair: res[x] maps the head of
-    # each arc from x to its residual capacity.  The arcs are v_in -> v_out
-    # and v_out -> u_in for each neighbour u, at 1, with their reverses at 0.
+    # each arc from x to its residual capacity.  It starts with the n + 2m
+    # forward arcs, v_in -> v_out and v_out -> u_in for each neighbour u, at
+    # 1; each reverse arc appears when flow first crosses its arc.
     res: list[dict[int, int]] = []
     for v, row in enumerate(graph.rows):
-        v_in = {2 * v + 1: 1}
-        v_out = {2 * v: 0}
+        v_out = {}
         while row:
             b = row & -row
-            u_in = 2 * b.bit_length() - 2
-            v_out[u_in] = 1
-            v_in[u_in + 1] = 0
+            v_out[2 * b.bit_length() - 2] = 1
             row ^= b
-        res += (v_in, v_out)
+        res += ({2 * v + 1: 1}, v_out)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < limit:
@@ -236,7 +234,7 @@ def _local_connectivity(graph: Graph, s: int, t: int, limit: int) -> int:
         while y != source:
             x = prev[y]
             res[x][y] -= 1
-            res[y][x] += 1
+            res[y][x] = res[y].get(x, 0) + 1
             y = x
         flow += 1
     return flow

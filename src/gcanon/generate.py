@@ -238,6 +238,7 @@ def generate_graphs(n: int, constraints: GraphFilter | None = None) -> list[str]
 
     if n > 1:
         extend([0], [])
+    del extend  # the closure refers to itself: break the cycle so the key sets go on return
     return [
         codec.graph6_from_key(n, key)
         for key in sorted(keys[n])

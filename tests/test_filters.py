@@ -350,6 +350,16 @@ def test_local_connectivity_matches_networkx_at_stream_sizes():
             for limit in (1, 2, 4, g.n):
                 assert core._local_connectivity(g, s, t, limit) == min(limit, kappa_st), (g, s, t, limit)
         assert connectivity_at_most(g, 4) == min(nx.node_connectivity(h), 4), g
+    # every non-adjacent pair of every graph on 6 vertices: paths that take
+    # reverse arcs in another order than networkx's must give the same value
+    for line in generate_graphs(6):
+        g = codec.decode(line)
+        h = to_networkx(g)
+        for s, t in combinations(range(g.n), 2):
+            if not g.has_edge(s, t):
+                kappa_st = local_node_connectivity(h, s, t)
+                for limit in (1, 2, 3, g.n):
+                    assert core._local_connectivity(g, s, t, limit) == min(limit, kappa_st), (line, s, t, limit)
 
 
 def test_local_connectivity_cancels_flow_on_a_reverse_arc():

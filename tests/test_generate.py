@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import random
 from unittest import mock
@@ -43,6 +44,22 @@ def test_output_sorted_and_deterministic():
     second = generate_graphs(6)
     assert first == second
     assert first == sorted(first)
+
+
+def test_generation_leaves_no_key_sets_in_a_reference_cycle():
+    # A recursive closure that refers to itself keeps every level's key set
+    # alive after the call returns, until the next cyclic collection; with
+    # DEBUG_SAVEALL that collection saves the sets in gc.garbage.
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        generate_graphs(7)
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, set)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def test_outputs_are_canonical_and_distinct():
