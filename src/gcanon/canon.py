@@ -299,6 +299,7 @@ def search(
             base.pop()
 
     recurse(cells, _refine(rows, cells, _opened(cells), deque(cells)))
+    del recurse  # the closure refers to itself: break the cycle so the search state goes on return
     return _Search(best_key, best_order, gens, leaf_count)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import Graph, check_vertex_count, packed_width, transpose
+from .core import Graph, check_vertex_count, packed_width, transpose, unpacked
 
 
 class CodecError(ValueError):
@@ -77,13 +77,7 @@ def rows_from_key(n: int, key: int) -> list[int]:
     for j in range(1, n):
         m |= (lower & ((1 << j) - 1)) << (j * w)
         lower >>= j
-    m |= transpose(m, w)
-    row_mask = (1 << w) - 1
-    rows = []
-    for _ in range(n):
-        rows.append(m & row_mask)
-        m >>= w
-    return rows
+    return unpacked(m | transpose(m, w), w, n)
 
 
 def _pack(x: int, nbits: int) -> str:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import codec
-from .core import Graph, connectivity_at_most, girth
+from .core import Graph, all_ints, connectivity_at_most, girth
 
 # Each property's reader; None (a forest's girth) matches no value.
 # Connectivity's reader takes hi as well: min(kappa, hi + 1) decides lo <= kappa <= hi.
@@ -70,9 +70,7 @@ class PropertyConstraint:
                 raise FilterSpecError(f"{self.name} takes a boolean, got {value!r}")
             return
         lo_hi = (value, value) if isinstance(value, int) else value
-        if not (
-            isinstance(lo_hi, tuple) and len(lo_hi) == 2 and all(isinstance(b, int) and not isinstance(b, bool) for b in lo_hi)
-        ):
+        if not (isinstance(lo_hi, tuple) and len(lo_hi) == 2 and all_ints(lo_hi)):
             raise FilterSpecError(f"{self.name} takes an integer or range, got {value!r}")
         if lo_hi[0] > lo_hi[1]:
             raise FilterSpecError(f"{self.name} range has lo > hi: {lo_hi}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import canon, codec
-from .core import Graph, bipartition_masks, bits, check_vertex_count, component_masks, permute_mask
+from .core import Graph, all_ints, bipartition_masks, bits, check_vertex_count, component_masks, permute_mask
 from .filters import GraphFilter, PropertyConstraint, evaluate
 
 
@@ -58,7 +58,7 @@ def GenOptions(
 ) -> GraphFilter:
     """The filter for the classic generation switches and edge-count window."""
     for name, value in (("min_edges", min_edges), ("max_edges", max_edges)):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+        if value is not None and (not all_ints((value,)) or value < 0):
             raise ValueError(f"{name} must be a non-negative int, got {value!r}")
     if min_edges is not None and max_edges is not None and min_edges > max_edges:
         raise ValueError(f"min_edges {min_edges} exceeds max_edges {max_edges}")
@@ -76,7 +76,7 @@ def GenOptions(
 
 def check_sample_count(count: int) -> None:
     """Rejects a sample count that is not an int (a bool included) or is negative."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+    if not all_ints((count,)) or count < 0:
         raise ValueError(f"sample count must be a non-negative int, got {count!r}")
 
 
@@ -97,7 +97,7 @@ class RandomModel:
             raise ValueError(f"edge probability must be an int or float, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {self.p}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not all_ints((self.seed,)):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 

@@ -47,16 +47,19 @@ def test_output_sorted_and_deterministic():
 
 
 def test_generation_leaves_no_key_sets_in_a_reference_cycle():
-    # A recursive closure that refers to itself keeps every level's key set
-    # alive after the call returns, until the next cyclic collection; with
-    # DEBUG_SAVEALL that collection saves the sets in gc.garbage.
+    # A recursive closure that refers to itself keeps every level's key set,
+    # or every search's state, alive after the call returns, until the next
+    # cyclic collection; with DEBUG_SAVEALL that collection saves them in
+    # gc.garbage.  Both generation and a lone search must leave nothing there.
+    relabelled = permute_graph(Graph.complete(64), random_permutation(random.Random(5), 64))
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        generate_graphs(7)
-        gc.collect()
-        assert not [obj for obj in gc.garbage if isinstance(obj, set)]
+        for call in (lambda: generate_graphs(7), lambda: canon.canonical_label(relabelled)):
+            call()
+            gc.collect()
+            assert len(gc.garbage) == 0
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
